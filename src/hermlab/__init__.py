@@ -71,7 +71,6 @@ from .hermitian import (
     jacobson_quadratic,
     morita_reduce,
     normalize_type,
-    sym_dimension,
     transfer_quadratic,
     u_search,
     unitary_involution,
@@ -97,7 +96,6 @@ from .lab import (
     LabAlgebra,
     LarmourResult,
     LaurentSeries,
-    PadicRational,
     QuaternionElt,
     choose_pid,
     choose_sigma,
@@ -105,7 +103,6 @@ from .lab import (
     larmour_decompose,
     residue_elt,
     standard_algebra,
-    symmetrize,
     w_value,
 )
 from .cli import main, verify_paper

@@ -214,15 +214,10 @@ class UnitaryCase(Enum):
 @dataclass(frozen=True)
 class UnitaryCaseResult:
     case: UnitaryCase
-    extension: object            # FieldDesc of k(sqrt(lam)), None over GFF residues
-    extension_map: object        # TransitionMap, None over GFF residues
     extended_class: object       # class over the extension, None over GFF residues
     character: SquareClass       # character of the class over the base
     residue_unramified: BrauerClass  # unramified residue part over the residue field
     lam_residue: SquareClass     # unit part of the extension class
-    fixed_field_classes: tuple   # residue classes cutting out the three fixed
-                                 # fields in the ramified-algebra case; the
-                                 # middle one is exposed but consumed by no rule
 
 
 def classify_unitary_case(B: BrauerClass, lam: SquareClass,
@@ -247,9 +242,9 @@ def classify_unitary_case(B: BrauerClass, lam: SquareClass,
 
     # A ramified extension reuses the residue field, so its base change is
     # computable even when the residue classes are symbolic.
-    ext = ext_map = B_K = None
+    B_K = None
     if finite or lam_vpar:
-        ext, ext_map = quadratic_extension(k, lam)
+        _, ext_map = quadratic_extension(k, lam)
         B_K = bc_base_change(B, ext_map)
     if finite:
         _check_division_matches(B, B_K)
@@ -265,10 +260,7 @@ def classify_unitary_case(B: BrauerClass, lam: SquareClass,
         extended_ramified = not (ram.character.is_one or ram.character == lam_unit)
         case = UnitaryCase.CASE2 if extended_ramified else UnitaryCase.CASE1
 
-    chi = ram.character
-    fixed = (chi, lam_unit, chi * lam_unit) if case is UnitaryCase.CASE2 else ()
-    return UnitaryCaseResult(case, ext, ext_map, B_K, chi,
-                             ram.residue_class, lam_unit, fixed)
+    return UnitaryCaseResult(case, B_K, ram.character, ram.residue_class, lam_unit)
 
 
 def _check_division_matches(B: BrauerClass, B_K: BrauerClass) -> None:

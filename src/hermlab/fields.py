@@ -305,6 +305,20 @@ def smallest_nonresidue(p: int) -> int:
     raise EngineError(f"no nonresidue found mod {p}")  # pragma: no cover
 
 
+def split_valuation(x: Fraction, p: int):
+    """(v, num, den) with x = p**v * num/den and p dividing neither num nor
+    den; x must be nonzero."""
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
 def class_of_rational(k: FieldDesc, x) -> SquareClass:
     """Square class of a nonzero rational inside a tower whose base is F_p.
 
@@ -326,15 +340,7 @@ def class_of_rational(k: FieldDesc, x) -> SquareClass:
     if isinstance(k, GlobalFunctionField):
         raise UnsupportedFieldError("rational classes need a finite-based tower")
     if isinstance(k.residue, FiniteField):
-        p = k.residue.p
-        v = 0
-        num, den = x.numerator, x.denominator
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
+        v, num, den = split_valuation(x, k.residue.p)
         unit = class_of_rational(k.residue, Fraction(num, den))
         return SquareClass(k, (unit, v & 1))
     return SquareClass(k, (class_of_rational(k.residue, x), 0))

@@ -67,19 +67,6 @@ def normalize_type(inv: InvolutionDesc, eps: int) -> UKind:
     return UKind.MINUS if eps == 1 else UKind.PLUS
 
 
-def sym_dimension(d: int, kind: str, eps: int = 1) -> int:
-    """Dimension of the eps-symmetric elements of a degree-d algebra."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if kind == "orthogonal":
-        return d * (d + eps) // 2
-    if kind == "symplectic":
-        return d * (d - eps) // 2
-    if kind == "unitary":
-        return d * d
-    raise UnsupportedShapeError(f"unknown involution kind {kind!r}")
-
-
 def morita_reduce(m: int, B: BrauerClass, ukind: UKind):
     """u-invariants of the m-by-m matrix algebra equal those of the
     underlying division algebra; return its class representative."""

@@ -15,12 +15,19 @@ field generated by the image of i.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EngineError, PrecisionError, UnsupportedShapeError
-from .fields import CDVField, FiniteField, class_of_rational, smallest_nonresidue
+from .fields import (
+    CDVField,
+    FiniteField,
+    class_of_rational,
+    smallest_nonresidue,
+    split_valuation,
+)
 from .quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle
 
 
@@ -29,15 +36,7 @@ def vp(x: Fraction, p: int) -> int:
     x = Fraction(x)
     if x == 0:
         raise ValueError("zero has no valuation")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return split_valuation(x, p)[0]
 
 
 def residue_rational(x: Fraction, p: int) -> int:
@@ -48,37 +47,6 @@ def residue_rational(x: Fraction, p: int) -> int:
     num = x.numerator % p
     den = x.denominator % p
     return num * pow(den, p - 2, p) % p
-
-
-@dataclass(frozen=True)
-class PadicRational:
-    """A rational carried together with its reference prime."""
-
-    value: Fraction
-    p: int
-
-    def valuation(self) -> int:
-        return vp(self.value, self.p)
-
-    def residue(self) -> int:
-        return residue_rational(self.value, self.p)
-
-    def __add__(self, other):
-        return PadicRational(self.value + other.value, self._same(other))
-
-    def __sub__(self, other):
-        return PadicRational(self.value - other.value, self._same(other))
-
-    def __mul__(self, other):
-        return PadicRational(self.value * other.value, self._same(other))
-
-    def __truediv__(self, other):
-        return PadicRational(self.value / other.value, self._same(other))
-
-    def _same(self, other) -> int:
-        if other.p != self.p:
-            raise ValueError("mixed primes")
-        return self.p
 
 
 @dataclass(frozen=True)
@@ -368,11 +336,6 @@ def choose_pid(alg: LabAlgebra, sigma: Involution, t: QuaternionElt) -> PidResul
     return PidResult(pid, eps_prime, case, checks)
 
 
-def symmetrize(x: QuaternionElt, sigma: Involution, eps: int) -> QuaternionElt:
-    """(x + eps*sigma(x))/2: the canonical entry repair before decomposing."""
-    return (x + sigma(x).scale(Fraction(eps))).scale(Fraction(1, 2))
-
-
 # ---------------------------------------------------------------------------
 # concrete residue decomposition
 
@@ -571,8 +534,6 @@ class LaurentSeries:
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         prec = min(self.prec, other.prec)
-        lo = min([self.shift] if self.coeffs else [prec],
-                 [other.shift] if other.coeffs else [prec])[0] if True else 0
         lo = min(self.shift if self.coeffs else prec,
                  other.shift if other.coeffs else prec)
         items = [self.coefficient(m) + other.coefficient(m)
@@ -661,11 +622,8 @@ def _fraction_sqrt(x: Fraction):
 
 
 def _int_sqrt(n: int):
-    r = int(n ** 0.5)
-    for candidate in (r - 1, r, r + 1):
-        if candidate >= 0 and candidate * candidate == n:
-            return candidate
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def with_higher_precision(fn, start: int = None, max_doublings: int = 4):

@@ -27,6 +27,7 @@ from .fields import (
     minus_one,
     one,
     smallest_nonresidue,
+    split_valuation,
     sqcl_group,
 )
 
@@ -120,16 +121,9 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _split_valuation(x: Fraction, p: int):
-    """x = p**v * unit; returns (v, unit numerator * unit denominator mod p)."""
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+def _valuation_unit(x: Fraction, p: int):
+    """x = p**v * unit; returns (v, the unit mod p)."""
+    v, num, den = split_valuation(x, p)
     return v, num * pow(den, p - 2, p) % p
 
 
@@ -137,8 +131,8 @@ def hilbert_symbol(a: Fraction, b: Fraction, p: int) -> int:
     """Hilbert symbol over the p-adic rationals, p odd."""
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    alpha, s = _split_valuation(Fraction(a), p)
-    beta, t = _split_valuation(Fraction(b), p)
+    alpha, s = _valuation_unit(Fraction(a), p)
+    beta, t = _valuation_unit(Fraction(b), p)
     result = 1
     if (alpha * beta) % 2 and (p - 1) // 2 % 2:
         result = -result
@@ -150,7 +144,7 @@ def hilbert_symbol(a: Fraction, b: Fraction, p: int) -> int:
 
 
 def is_square_rational(x: Fraction, p: int) -> bool:
-    v, u = _split_valuation(Fraction(x), p)
+    v, u = _valuation_unit(Fraction(x), p)
     return v % 2 == 0 and legendre(u, p) == 1
 
 

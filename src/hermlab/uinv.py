@@ -11,8 +11,10 @@ bases contribute a fixed axiom table, and every step is recorded in a
 Derivation tree that can be audited node by node.
 
 Each value has a witness: an anisotropic form of exactly that rank,
-flattened to concrete diagonal entries whenever the shape allows and
-re-verified through the quadratic reductions.
+built by the same walk that computes the value.  Concrete leaves are
+checked anisotropic where they are built; whenever the shape allows, the
+witness flattens to diagonal entries that are re-verified through the
+quadratic reductions.
 
 The bound formulas live here too: the degree bounds over fields with the
 odd-extension zero property, the exact rational coefficient sequences for
@@ -114,225 +116,6 @@ class UResult:
         yield self.derivation
 
 
-def _category(B: BrauerClass):
-    """('field'|'quaternion'|'biquaternion', normalized class)."""
-    syms = B.effective_symbols
-    if len(syms) > 2:
-        raise UnsupportedClassError(f"{len(syms)} symbols; at most two are supported")
-    k = B.field
-    if is_finite_based(k):
-        kind = bc_is_division(B)
-        if kind == DivisionKind.SPLIT:
-            return "field", trivial_class(k)
-        if kind == DivisionKind.QUATERNION:
-            if len(syms) == 1:
-                return "quaternion", BrauerClass(k, syms)
-            return "quaternion", BrauerClass(k, (bc_single_symbol_rep(B),))
-        return "biquaternion", BrauerClass(k, syms)
-    if not syms:
-        return "field", trivial_class(k)
-    return ("quaternion" if len(syms) == 1 else "biquaternion"), BrauerClass(k, syms)
-
-
-def _assert_leaf(field_label: str, class_label: str, assertions) -> Derivation:
-    if "residue" not in assertions:
-        raise NeedsAssertionError(
-            f"division of {class_label} over {field_label} is not computable; "
-            "pass the assertion token 'residue'")
-    return leaf("assert:division", field_label, class_label, "-", None,
-                _CITES["assert:division"])
-
-
-def _gff_value(cat: str, kind: UKind) -> int:
-    try:
-        return _GFF_BASE[(cat, kind)]
-    except KeyError:
-        raise UnsupportedClassError(
-            "a biquaternion over a global-function-field base cannot be "
-            "division: six variables over a u=4 base always vanish") from None
-
-
-def _gff_leaf(field_label: str, cat: str, kind: UKind, class_label: str,
-              assertions) -> "tuple[int, Derivation]":
-    if cat == "field" and kind is UKind.MINUS:
-        return 0, leaf("base:field-minus", field_label, class_label,
-                       kind.value, 0, _CITES["base:field-minus"])
-    value = _gff_value(cat, kind)
-    children = ()
-    if cat != "field":
-        children = (_assert_leaf(field_label, class_label, assertions),)
-    return value, Derivation("base:gff", field_label, class_label, kind.value,
-                             value, _CITES["base:gff"], children, "leaf")
-
-
-def _gff_ext_label(k: GlobalFunctionField, chi: SquareClass) -> str:
-    return f"GFF({k.q})[sqrt({class_to_str(chi)})]"
-
-
-def u_exact(B: BrauerClass, kind, lam: SquareClass = None,
-            assertions=frozenset()) -> UResult:
-    """Exact u-invariant of a division class with its derivation tree.
-
-    First-kind values (plus/minus) take the class itself; unitary values
-    additionally take the class defining the quadratic extension.  Over a
-    global-function-field residue, division facts the recursion needs must
-    be asserted through the token "residue" and are echoed in the tree.
-    """
-    kind = UKind(kind)
-    assertions = frozenset(assertions)
-    if kind is UKind.ZERO:
-        if lam is None:
-            raise InvalidExtensionError("unitary values need the extension class")
-        if lam.field != B.field:
-            raise FieldMismatchError("extension class over the wrong field")
-        return UResult(*_u_zero(B, lam, assertions))
-    if lam is not None:
-        raise InvalidExtensionError("first-kind values take no extension class")
-    return UResult(*_u_first_kind(B, kind, assertions))
-
-
-def _u_first_kind(B: BrauerClass, kind: UKind, assertions):
-    k = B.field
-    cat, Bn = _category(B)
-    fl, cl = field_to_str(k), str(Bn)
-    if cat == "field" and kind is UKind.MINUS:
-        return 0, leaf("base:field-minus", fl, cl, kind.value, 0,
-                       _CITES["base:field-minus"])
-    if isinstance(k, FiniteField):
-        value = _FINITE_BASE[kind]
-        return value, leaf("base:finite", fl, cl, kind.value, value,
-                           _CITES["base:finite"])
-    if isinstance(k, GlobalFunctionField):
-        return _gff_leaf(fl, cat, kind, cl, assertions)
-
-    if cat == "field":
-        child_v, child_d = _u_first_kind(trivial_class(k.residue), kind, assertions)
-        return 2 * child_v, Derivation(
-            "unramified-double", fl, cl, kind.value, 2 * child_v,
-            _CITES["unramified-double"], (child_d,), "double")
-
-    ram = bc_ramification(Bn)
-    if ram.character.is_one:
-        child_v, child_d = _u_first_kind(ram.residue_class, kind, assertions)
-        return 2 * child_v, Derivation(
-            "unramified-double", fl, cl, kind.value, 2 * child_v,
-            _CITES["unramified-double"], (child_d,), "double")
-
-    unitary_v, unitary_d = _u_zero(ram.residue_class, ram.character, assertions,
-                                   morita=True)
-    ext_v, ext_d = _ext_first_kind(k.residue, ram.residue_class, ram.character,
-                                   kind, assertions)
-    value = unitary_v + ext_v
-    return value, Derivation("ramified-sum", fl, cl, kind.value, value,
-                             _CITES["ramified-sum"], (unitary_d, ext_d), "sum")
-
-
-def _ext_first_kind(res: FieldDesc, R0: BrauerClass, chi: SquareClass,
-                    kind: UKind, assertions):
-    """First-kind value of the residue class over the character extension."""
-    if isinstance(res, GlobalFunctionField):
-        cat = "field" if not R0.effective_symbols else (
-            "quaternion" if len(R0.effective_symbols) == 1 else "biquaternion")
-        return _gff_leaf(_gff_ext_label(res, chi), cat, kind, str(R0), assertions)
-    ext, ext_map = quadratic_extension(res, chi)
-    return _u_first_kind(bc_base_change(R0, ext_map), kind, assertions)
-
-
-def _u_zero(B: BrauerClass, lam: SquareClass, assertions, morita: bool = False):
-    """Unitary value of the algebra presented by (class, extension class).
-
-    With morita set (internal residue-algebra presentations), a class that
-    splits over the extension is reduced to its center first; without it
-    (the public precondition), that situation is an error.
-    """
-    k = B.field
-    if lam.is_one:
-        raise InvalidExtensionError("the trivial class defines no quadratic extension")
-    cat, Bn = _category(B)
-    morita_note = None
-    if (morita and cat != "field" and isinstance(k, CDVField)
-            and is_finite_based(k)):
-        ext, ext_map = quadratic_extension(k, lam)
-        if bc_is_division(bc_base_change(Bn, ext_map)) == DivisionKind.SPLIT:
-            cat, Bn = "field", trivial_class(k)
-            morita_note = "splits over the extension; reduced to the center"
-    fl, cl = field_to_str(k), str(Bn)
-    ext_note = f"extension by {class_to_str(lam)}"
-    if isinstance(k, FiniteField):
-        return 1, leaf("base:finite", fl, cl, UKind.ZERO.value, 1,
-                       _CITES["base:finite"], note=ext_note)
-    if isinstance(k, GlobalFunctionField):
-        value, node = _gff_leaf(fl, cat, UKind.ZERO, cl, assertions)
-        return value, Derivation(node.rule, node.field_label, node.class_label,
-                                 node.kind, node.value, node.cite, node.children,
-                                 node.combine, ext_note)
-
-    finite = is_finite_based(k)
-    assume = not finite
-    assert_children = ()
-    if assume and cat != "field":
-        assert_children = (_assert_leaf(fl, cl, assertions),)
-    case = classify_unitary_case(Bn, lam, assume_division=assume)
-    case_note = f"{case.case}; {ext_note}"
-    if morita_note:
-        case_note += f"; {morita_note}"
-
-    if case.case is UnitaryCase.CASE1:
-        child_v, child_d = _u_zero(case.residue_unramified, case.lam_residue,
-                                   assertions, morita=True)
-        value = 2 * child_v
-        return value, Derivation(
-            "unitary-unramified-double", fl, cl, UKind.ZERO.value, value,
-            _CITES["unitary-unramified-double"],
-            assert_children + (child_d,), "double", note=case_note)
-
-    if case.case is UnitaryCase.CASE2:
-        children = assert_children + _case2_children(
-            k.residue, case.residue_unramified, case.character,
-            case.lam_residue, assertions)
-        value = sum(c.value for c in children if c.value is not None)
-        return value, Derivation(
-            "unitary-two-fixed-fields", fl, cl, UKind.ZERO.value, value,
-            _CITES["unitary-two-fixed-fields"], children, "sum",
-            note=case_note)
-
-    # ramified extension: the extended class is unramified, its residue
-    # contributes a plus and a minus value
-    res_class = bc_ramification(case.extended_class).residue_class
-    plus_v, plus_d = _u_first_kind(res_class, UKind.PLUS, assertions)
-    minus_v, minus_d = _u_first_kind(res_class, UKind.MINUS, assertions)
-    value = plus_v + minus_v
-    return value, Derivation(
-        "unitary-ramified-base", fl, cl, UKind.ZERO.value, value,
-        _CITES["unitary-ramified-base"],
-        assert_children + (plus_d, minus_d), "sum", note=case_note)
-
-
-def _case2_children(res: FieldDesc, R0: BrauerClass, chi: SquareClass,
-                    s: SquareClass, assertions):
-    """Unitary values over the two relevant fixed fields of the residue."""
-    if isinstance(res, GlobalFunctionField):
-        cat = "field" if not R0.effective_symbols else (
-            "quaternion" if len(R0.effective_symbols) == 1 else "biquaternion")
-        kids = []
-        for cls in (chi, chi * s):
-            _, d = _gff_leaf(_gff_ext_label(res, cls), cat, UKind.ZERO,
-                             str(R0), assertions)
-            kids.append(d)
-        return tuple(kids)
-    kids = []
-    for cls in (chi, chi * s):
-        ext, ext_map = quadratic_extension(res, cls)
-        lam_ext = transport(ext_map, s)
-        _, d = _u_zero(bc_base_change(R0, ext_map), lam_ext, assertions,
-                       morita=True)
-        kids.append(d)
-    return tuple(kids)
-
-
-# ---------------------------------------------------------------------------
-# witnesses
-
 @dataclass(frozen=True)
 class WitnessNode:
     op: str                 # quad | unitary | axiom | empty | pair
@@ -381,10 +164,26 @@ class Witness:
     verified: bool = False
 
 
+def u_exact(B: BrauerClass, kind, lam: SquareClass = None,
+            assertions=frozenset()) -> UResult:
+    """Exact u-invariant of a division class with its derivation tree.
+
+    First-kind values (plus/minus) take the class itself; unitary values
+    additionally take the class defining the quadratic extension.  Over a
+    global-function-field residue, division facts the recursion needs must
+    be asserted through the token "residue" and are echoed in the tree.
+    """
+    step = _walk(B, UKind(kind), lam, frozenset(assertions))
+    return UResult(step.value, step.derivation)
+
+
 def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
             assertions=frozenset()) -> Witness:
-    """Anisotropic form of rank exactly u, mirroring the value derivation.
+    """Anisotropic form of rank exactly u, from the walk that computes u.
 
+    Every step of the residue walk builds its witness part beside its
+    derivation, and concrete leaves are checked anisotropic where they
+    are built.  The witness rank is then checked against the value.
     Reducible shapes flatten to concrete diagonal entries and are
     re-verified anisotropic through the quadratic reductions; the rest
     stay symbolic trees whose concrete leaves are still verified.
@@ -392,18 +191,15 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
     kind = UKind(kind)
     if B.field != k:
         raise FieldMismatchError("class over the wrong field")
-    value = u_exact(B, kind, lam, assertions).value
-    if kind is UKind.ZERO:
-        rank, node, flat, ok = _witness_zero(B, lam, frozenset(assertions))
-    else:
-        rank, node, flat, ok = _witness_first_kind(B, kind, frozenset(assertions))
-    if rank != value:
-        raise EngineError(f"witness rank {rank} disagrees with value {value}")
+    step = _walk(B, kind, lam, frozenset(assertions))
+    rank, flat, ok = step.node.rank, step.flat, step.ok
+    if rank != step.value:
+        raise EngineError(f"witness rank {rank} disagrees with value {step.value}")
     if flat is not None:
         if not _verify_flat(B, kind, lam, flat):
             flat = _search_flat(B, kind, lam, rank)
             ok = ok and flat is not None
-    return Witness(k, kind, rank, node, flat, lam, ok)
+    return Witness(k, kind, rank, step.node, flat, lam, ok)
 
 
 def _verify_flat(B: BrauerClass, kind: UKind, lam, entries) -> bool:
@@ -433,138 +229,273 @@ def _search_flat(B: BrauerClass, kind: UKind, lam, rank: int):
     return None
 
 
+# ---------------------------------------------------------------------------
+# the residue walk
+
+@dataclass(frozen=True)
+class _Step:
+    """One step of the residue walk: the derivation of its value and the
+    witness part built beside it."""
+
+    derivation: Derivation
+    node: WitnessNode
+    flat: tuple = None      # concrete diagonal entries, when the shape flattens
+    ok: bool = True         # every concrete leaf below verified anisotropic
+
+    @property
+    def value(self) -> int:
+        return self.derivation.value
+
+
+def _walk(B: BrauerClass, kind: UKind, lam, assertions) -> _Step:
+    if kind is UKind.ZERO:
+        if lam is None:
+            raise InvalidExtensionError("unitary values need the extension class")
+        if lam.field != B.field:
+            raise FieldMismatchError("extension class over the wrong field")
+        return _unitary(B, lam, assertions)
+    if lam is not None:
+        raise InvalidExtensionError("first-kind values take no extension class")
+    return _first_kind(B, kind, assertions)
+
+
+def _category(B: BrauerClass):
+    """('field'|'quaternion'|'biquaternion', normalized class)."""
+    syms = B.effective_symbols
+    if len(syms) > 2:
+        raise UnsupportedClassError(f"{len(syms)} symbols; at most two are supported")
+    k = B.field
+    if is_finite_based(k):
+        kind = bc_is_division(B)
+        if kind == DivisionKind.SPLIT:
+            return "field", trivial_class(k)
+        if kind == DivisionKind.QUATERNION:
+            if len(syms) == 1:
+                return "quaternion", BrauerClass(k, syms)
+            return "quaternion", BrauerClass(k, (bc_single_symbol_rep(B),))
+        return "biquaternion", BrauerClass(k, syms)
+    return _gff_category(B), BrauerClass(k, syms)
+
+
+def _gff_category(B: BrauerClass) -> str:
+    """Category of a class whose division is asserted, not computed: the
+    count of its nontrivial symbols."""
+    syms = B.effective_symbols
+    if not syms:
+        return "field"
+    return "quaternion" if len(syms) == 1 else "biquaternion"
+
+
+def _assert_leaf(field_label: str, class_label: str, assertions) -> Derivation:
+    if "residue" not in assertions:
+        raise NeedsAssertionError(
+            f"division of {class_label} over {field_label} is not computable; "
+            "pass the assertion token 'residue'")
+    return leaf("assert:division", field_label, class_label, "-", None,
+                _CITES["assert:division"])
+
+
+def _gff_value(cat: str, kind: UKind) -> int:
+    try:
+        return _GFF_BASE[(cat, kind)]
+    except KeyError:
+        raise UnsupportedClassError(
+            "a biquaternion over a global-function-field base cannot be "
+            "division: six variables over a u=4 base always vanish") from None
+
+
+def _gff_leaf(field_label: str, cat: str, kind: UKind, class_label: str,
+              assertions, note: str = None) -> _Step:
+    """Tabulated value over a global-function-field base; the witness is
+    the tabulated rank."""
+    if cat == "field" and kind is UKind.MINUS:
+        d = leaf("base:field-minus", field_label, class_label, kind.value, 0,
+                 _CITES["base:field-minus"])
+    else:
+        value = _gff_value(cat, kind)
+        children = ()
+        if cat != "field":
+            children = (_assert_leaf(field_label, class_label, assertions),)
+        d = Derivation("base:gff", field_label, class_label, kind.value, value,
+                       _CITES["base:gff"], children, "leaf", note)
+    return _Step(d, WitnessNode("axiom", field_label, d.value,
+                                note="tabulated base value"))
+
+
+def _gff_ext_label(k: GlobalFunctionField, chi: SquareClass) -> str:
+    return f"GFF({k.q})[sqrt({class_to_str(chi)})]"
+
+
 def _entry_labels(entries) -> tuple:
     return tuple(class_to_str(c) for c in entries)
 
 
-def _witness_first_kind(B: BrauerClass, kind: UKind, assertions):
+def _double(rule: str, k: CDVField, class_label: str, kind: UKind,
+            child: _Step, pre: tuple = (), note: str = None) -> _Step:
+    """Doubling step; the witness is the lifted child next to its
+    uniformizer twist."""
+    fl = field_to_str(k)
+    value = 2 * child.value
+    flat = None
+    if child.flat is not None:
+        pi = uniformizer(k)
+        flat = tuple(lift(k, c) for c in child.flat) + \
+            tuple(lift(k, c) * pi for c in child.flat)
+    return _Step(
+        Derivation(rule, fl, class_label, kind.value, value, _CITES[rule],
+                   pre + (child.derivation,), "double", note),
+        WitnessNode("pair", fl, 2 * child.node.rank,
+                    children=(child.node, child.node), note="uniformizer twist"),
+        flat, child.ok)
+
+
+def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
+         first: _Step, second: _Step, node_note: str, pre: tuple = (),
+         note: str = None) -> _Step:
+    """Sum of a part over the residue field and a parameter-twisted part;
+    when the twisted part is empty, the first part's entries lift to a
+    flat witness."""
+    fl = field_to_str(k)
+    value = first.value + second.value
+    flat = None
+    if second.node.rank == 0 and first.flat is not None:
+        flat = tuple(lift(k, c) for c in first.flat)
+    return _Step(
+        Derivation(rule, fl, class_label, kind.value, value, _CITES[rule],
+                   pre + (first.derivation, second.derivation), "sum", note),
+        WitnessNode("pair", fl, first.node.rank + second.node.rank,
+                    children=(first.node, second.node), note=node_note),
+        flat, first.ok and second.ok)
+
+
+def _first_kind(B: BrauerClass, kind: UKind, assertions) -> _Step:
     k = B.field
     cat, Bn = _category(B)
-    fl = field_to_str(k)
+    fl, cl = field_to_str(k), str(Bn)
     if cat == "field" and kind is UKind.MINUS:
-        return 0, WitnessNode("empty", fl, 0), (), True
+        return _Step(leaf("base:field-minus", fl, cl, kind.value, 0,
+                          _CITES["base:field-minus"]),
+                     WitnessNode("empty", fl, 0), ())
     if isinstance(k, FiniteField):
-        if kind is UKind.PLUS:
-            # the norm form of the quadratic extension: <1, -nonsquare>
-            entries = (one(k), minus_one(k) * nonsquare_unit(k))
-            ok = not qf_is_isotropic(QuadForm(k, entries))
-            return 2, WitnessNode("quad", fl, 2, _entry_labels(entries)), entries, ok
-        raise EngineError("finite-base first-kind witness outside plus/minus")
+        # the norm form of the quadratic extension: <1, -nonsquare>
+        entries = (one(k), minus_one(k) * nonsquare_unit(k))
+        return _Step(leaf("base:finite", fl, cl, kind.value, _FINITE_BASE[kind],
+                          _CITES["base:finite"]),
+                     WitnessNode("quad", fl, len(entries), _entry_labels(entries)),
+                     entries, not qf_is_isotropic(QuadForm(k, entries)))
     if isinstance(k, GlobalFunctionField):
-        value, _ = _gff_leaf(fl, cat, kind, str(Bn), assertions)
-        node = WitnessNode("axiom", fl, value, note="tabulated base value")
-        return value, node, None, True
+        return _gff_leaf(fl, cat, kind, cl, assertions)
 
-    if cat == "field" or bc_ramification(Bn).character.is_one:
-        if cat == "field":
-            child = _witness_first_kind(trivial_class(k.residue), kind, assertions)
-        else:
-            child = _witness_first_kind(bc_ramification(Bn).residue_class,
-                                        kind, assertions)
-        return _double_lift(k, fl, child, "uniformizer twist")
-
+    if cat == "field":
+        return _double("unramified-double", k, cl, kind,
+                       _first_kind(trivial_class(k.residue), kind, assertions))
     ram = bc_ramification(Bn)
-    rA, nodeA, flatA, okA = _witness_zero_over(k.residue, ram.residue_class,
-                                               ram.character, assertions,
-                                               morita=True)
-    rB, nodeB, flatB, okB = _witness_ext_first_kind(k.residue, ram.residue_class,
-                                                    ram.character, kind, assertions)
-    node = WitnessNode("pair", fl, rA + rB, children=(nodeA, nodeB),
-                       note="unit part; parameter-twisted part over the extension")
-    flat = None
-    if rB == 0 and flatA is not None:
-        flat = tuple(lift(k, c) for c in flatA)
-    return rA + rB, node, flat, okA and okB
+    if ram.character.is_one:
+        return _double("unramified-double", k, cl, kind,
+                       _first_kind(ram.residue_class, kind, assertions))
+    return _sum("ramified-sum", k, cl, kind,
+                _unitary(ram.residue_class, ram.character, assertions, morita=True),
+                _ext_first_kind(k.residue, ram.residue_class, ram.character,
+                                kind, assertions),
+                "unit part; parameter-twisted part over the extension")
 
 
-def _witness_ext_first_kind(res, R0, chi, kind, assertions):
+def _ext_first_kind(res: FieldDesc, R0: BrauerClass, chi: SquareClass,
+                    kind: UKind, assertions) -> _Step:
+    """First-kind value of the residue class over the character extension."""
     if isinstance(res, GlobalFunctionField):
-        cat = "field" if not R0.effective_symbols else "quaternion"
-        value, _ = _gff_leaf(_gff_ext_label(res, chi), cat, kind, str(R0), assertions)
-        return value, WitnessNode("axiom", _gff_ext_label(res, chi), value,
-                                  note="tabulated base value"), None, True
+        return _gff_leaf(_gff_ext_label(res, chi), _gff_category(R0), kind,
+                         str(R0), assertions)
     ext, ext_map = quadratic_extension(res, chi)
-    return _witness_first_kind(bc_base_change(R0, ext_map), kind, assertions)
+    return _first_kind(bc_base_change(R0, ext_map), kind, assertions)
 
 
-def _witness_zero(B: BrauerClass, lam: SquareClass, assertions):
-    return _witness_zero_over(B.field, B, lam, assertions)
+def _unitary(B: BrauerClass, lam: SquareClass, assertions,
+             morita: bool = False) -> _Step:
+    """Unitary value of the algebra presented by (class, extension class).
 
-
-def _witness_zero_over(k: FieldDesc, B: BrauerClass, lam: SquareClass,
-                       assertions, morita: bool = False):
+    With morita set (internal residue-algebra presentations), a class that
+    splits over the extension is reduced to its center first; without it
+    (the public precondition), that situation is an error.
+    """
+    k = B.field
+    if lam.is_one:
+        raise InvalidExtensionError("the trivial class defines no quadratic extension")
     cat, Bn = _category(B)
+    morita_note = None
     if (morita and cat != "field" and isinstance(k, CDVField)
             and is_finite_based(k)):
         ext, ext_map = quadratic_extension(k, lam)
         if bc_is_division(bc_base_change(Bn, ext_map)) == DivisionKind.SPLIT:
             cat, Bn = "field", trivial_class(k)
-    fl = field_to_str(k)
+            morita_note = "splits over the extension; reduced to the center"
+    fl, cl = field_to_str(k), str(Bn)
+    ext_note = f"extension by {class_to_str(lam)}"
     if isinstance(k, FiniteField):
         entries = (one(k),)
         h = HermFormDesc(trivial_class(k), unitary_involution(lam), 1, entries)
-        ok = not herm_is_isotropic(h)
-        node = WitnessNode("unitary", fl, 1, _entry_labels(entries),
-                           lam=class_to_str(lam))
-        return 1, node, entries, ok
+        return _Step(leaf("base:finite", fl, cl, UKind.ZERO.value,
+                          _FINITE_BASE[UKind.ZERO], _CITES["base:finite"],
+                          note=ext_note),
+                     WitnessNode("unitary", fl, len(entries), _entry_labels(entries),
+                                 lam=class_to_str(lam)),
+                     entries, not herm_is_isotropic(h))
     if isinstance(k, GlobalFunctionField):
-        value, _ = _gff_leaf(fl, cat, UKind.ZERO, str(Bn), assertions)
-        return value, WitnessNode("axiom", fl, value,
-                                  note="tabulated base value"), None, True
+        return _gff_leaf(fl, cat, UKind.ZERO, cl, assertions, ext_note)
 
-    case = classify_unitary_case(Bn, lam, assume_division=not is_finite_based(k))
+    assume = not is_finite_based(k)
+    assert_children = ()
+    if assume and cat != "field":
+        assert_children = (_assert_leaf(fl, cl, assertions),)
+    case = classify_unitary_case(Bn, lam, assume_division=assume)
+    case_note = f"{case.case}; {ext_note}"
+    if morita_note:
+        case_note += f"; {morita_note}"
+
     if case.case is UnitaryCase.CASE1:
-        child = _witness_zero_over(k.residue, case.residue_unramified,
-                                   case.lam_residue, assertions, morita=True)
-        rank, node, flat, ok = _double_lift(k, fl, child, "uniformizer twist")
-        return rank, node, flat, ok
+        return _double("unitary-unramified-double", k, cl, UKind.ZERO,
+                       _unitary(case.residue_unramified, case.lam_residue,
+                                assertions, morita=True),
+                       assert_children, case_note)
+
     if case.case is UnitaryCase.CASE2:
-        kids = _case2_witnesses(k.residue, case.residue_unramified,
-                                case.character, case.lam_residue, assertions)
-        rank = sum(c[0] for c in kids)
-        node = WitnessNode("pair", fl, rank,
-                           children=tuple(c[1] for c in kids),
-                           note="parts over the two fixed fields")
-        return rank, node, None, all(c[3] for c in kids)
+        kids = _case2_children(k.residue, case.residue_unramified,
+                               case.character, case.lam_residue, assertions)
+        value = sum(c.value for c in kids)
+        return _Step(
+            Derivation("unitary-two-fixed-fields", fl, cl, UKind.ZERO.value,
+                       value, _CITES["unitary-two-fixed-fields"],
+                       assert_children + tuple(c.derivation for c in kids),
+                       "sum", note=case_note),
+            WitnessNode("pair", fl, sum(c.node.rank for c in kids),
+                        children=tuple(c.node for c in kids),
+                        note="parts over the two fixed fields"),
+            None, all(c.ok for c in kids))
+
+    # ramified extension: the extended class is unramified, its residue
+    # contributes a plus and a minus value
     res_class = bc_ramification(case.extended_class).residue_class
-    rP, nodeP, flatP, okP = _witness_first_kind(res_class, UKind.PLUS, assertions)
-    rM, nodeM, flatM, okM = _witness_first_kind(res_class, UKind.MINUS, assertions)
-    node = WitnessNode("pair", fl, rP + rM, children=(nodeP, nodeM),
-                       note="plus part; parameter-twisted minus part")
-    flat = None
-    if rM == 0 and flatP is not None:
-        flat = tuple(lift(k, c) for c in flatP)
-    return rP + rM, node, flat, okP and okM
+    return _sum("unitary-ramified-base", k, cl, UKind.ZERO,
+                _first_kind(res_class, UKind.PLUS, assertions),
+                _first_kind(res_class, UKind.MINUS, assertions),
+                "plus part; parameter-twisted minus part",
+                assert_children, case_note)
 
 
-def _case2_witnesses(res, R0, chi, s, assertions):
+def _case2_children(res: FieldDesc, R0: BrauerClass, chi: SquareClass,
+                    s: SquareClass, assertions) -> tuple:
+    """Unitary values over the two relevant fixed fields of the residue."""
     if isinstance(res, GlobalFunctionField):
-        cat = "field" if not R0.effective_symbols else "quaternion"
-        out = []
-        for cls in (chi, chi * s):
-            label = _gff_ext_label(res, cls)
-            value, _ = _gff_leaf(label, cat, UKind.ZERO, str(R0), assertions)
-            out.append((value, WitnessNode("axiom", label, value,
-                                           note="tabulated base value"), None, True))
-        return out
-    out = []
+        cat = _gff_category(R0)
+        return tuple(_gff_leaf(_gff_ext_label(res, cls), cat, UKind.ZERO,
+                               str(R0), assertions)
+                     for cls in (chi, chi * s))
+    kids = []
     for cls in (chi, chi * s):
         ext, ext_map = quadratic_extension(res, cls)
-        out.append(_witness_zero_over(ext, bc_base_change(R0, ext_map),
-                                      transport(ext_map, s), assertions,
-                                      morita=True))
-    return out
-
-
-def _double_lift(k: CDVField, fl: str, child, note: str):
-    rank, node, flat, ok = child
-    pair = WitnessNode("pair", fl, 2 * rank, children=(node, node), note=note)
-    flat_lifted = None
-    if flat is not None:
-        pi = uniformizer(k)
-        flat_lifted = tuple(lift(k, c) for c in flat) + \
-            tuple(lift(k, c) * pi for c in flat)
-    return 2 * rank, pair, flat_lifted, ok
+        kids.append(_unitary(bc_base_change(R0, ext_map),
+                             transport(ext_map, s), assertions, morita=True))
+    return tuple(kids)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,6 @@ def test_classifier_case2_on_ramified_algebra():
     res = classify_unitary_case(B, parse_class(K2, "p"))
     assert res.case == UnitaryCase.CASE2
     assert class_to_str(res.character) == "u"
-    assert [class_to_str(c) for c in res.fixed_field_classes] == ["u", "pi", "u*pi"]
 
 
 def test_classifier_case1_for_field_case():

@@ -1,12 +1,15 @@
 """Command parsing, output shapes and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from hermlab.cli import build_parser, main, parse, parse_element
 from hermlab.errors import ParseError
 from hermlab.lab import basis_ij, basis_j, scalar, standard_algebra
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -94,6 +97,32 @@ def test_uinv_exact_json_includes_derivation(capsys):
     assert [c["value"] for c in deriv["children"]] == [2, 4]
     assert payload["witness"]["rank"] == 6
     assert payload["witness"]["verified"] is True
+
+
+# Full `uinv exact --witness --json` outputs, pinned byte for byte: one
+# instance per branch of the residue walk (doubling, ramified sum, the three
+# unitary cases, the Morita reduction, height 3, global-function-field leaves).
+WITNESS_GOLDEN = {
+    "h2f5_up_plus": "--field CDV(CDV(F5)) --class (u,p) --type plus",
+    "h2f5_ut_minus": "--field CDV(CDV(F5)) --class (u,t) --type minus",
+    "h2f5_1_zero_u": "--field CDV(CDV(F5)) --class 1 --type zero --lambda u",
+    "h2f5_ut_zero_p": "--field CDV(CDV(F5)) --class (u,t) --type zero --lambda p",
+    "h2f5_up_zero_t": "--field CDV(CDV(F5)) --class (u,p) --type zero --lambda t",
+    "h2f3_upit_plus": "--field CDV(CDV(F3)) --class (u,pi*t) --type plus",
+    "h3f3_upi_ts_plus": "--field CDV(CDV(CDV(F3))) --class (u,pi);(t,s) --type plus",
+    "gff_ab_vpi_plus": "--field CDV(GFF(9)) --class (a,b);(v,pi) --type plus "
+                       "--assert-division residue",
+    "gff_vpi_zero_w": "--field CDV(GFF(9)) --class (v,pi) --type zero --lambda w "
+                      "--assert-division residue",
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESS_GOLDEN))
+def test_uinv_exact_witness_json_golden(capsys, name):
+    code, out, _ = run(capsys, "uinv", "exact", *WITNESS_GOLDEN[name].split(),
+                       "--witness", "--json")
+    assert code == 0
+    assert out == (DATA / f"uinv_witness_{name}.json").read_text()
 
 
 def test_uinv_missing_assertion_exit_code(capsys):

@@ -16,7 +16,6 @@ from hermlab.hermitian import (
     jacobson_quadratic,
     morita_reduce,
     normalize_type,
-    sym_dimension,
     transfer_quadratic,
     u_search,
     unitary_involution,
@@ -53,18 +52,6 @@ def test_unitary_involution_needs_nontrivial_class():
         unitary_involution(pc(K1, "1"))
     with pytest.raises(InvalidExtensionError):
         InvolutionDesc("unitary")
-
-
-@pytest.mark.parametrize("d,kind,eps,expected", [
-    (2, "orthogonal", 1, 3),
-    (2, "unitary", 1, 4),
-    (2, "orthogonal", -1, 1),
-    (2, "symplectic", 1, 1),
-    (4, "orthogonal", 1, 10),
-    (4, "symplectic", -1, 10),
-])
-def test_symmetric_element_dimensions(d, kind, eps, expected):
-    assert sym_dimension(d, kind, eps) == expected
 
 
 def test_morita_reduction():
