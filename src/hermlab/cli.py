@@ -209,7 +209,10 @@ def _parse_symbol(p: int, text) -> LabAlgebra:
     s = text.strip().replace(" ", "")
     if not (s.startswith("(") and s.endswith(")")):
         raise ParseError(f"malformed symbol {text!r}")
-    a, b = s[1:-1].split(",")
+    slots = s[1:-1].split(",")
+    if len(slots) != 2:
+        raise ParseError("a symbol has two slots")
+    a, b = slots
     return LabAlgebra(Fraction(a), Fraction(b), p)
 
 

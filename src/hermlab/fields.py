@@ -308,6 +308,8 @@ def smallest_nonresidue(p: int) -> int:
 def split_valuation(x: Fraction, p: int):
     """(v, num, den) with x = p**v * num/den and p dividing neither num nor
     den; x must be nonzero."""
+    if x == 0:
+        raise ValueError("zero has no valuation")
     v = 0
     num, den = x.numerator, x.denominator
     while num % p == 0:

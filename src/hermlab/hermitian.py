@@ -17,17 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement
+from functools import cached_property
 
 from .brauer import BrauerClass, DivisionKind, bc_is_division, bc_single_symbol_rep
 from .errors import (
-    EngineError,
     FieldMismatchError,
     InvalidExtensionError,
     UnsupportedShapeError,
 )
 from .fields import FieldDesc, SquareClass, minus_one, sqcl_group
-from .quadform import QuadForm, norm_form, qf_is_isotropic
+from .quadform import QuadForm, max_anisotropic_rank, norm_form, qf_is_isotropic
 
 
 class UKind(str, Enum):
@@ -108,7 +107,7 @@ class HermFormDesc:
     def rank(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def shape(self) -> str:
         if (self.involution.kind == "symplectic" and self.eps == 1
                 and bc_is_division(self.algebra) == DivisionKind.QUATERNION):
@@ -164,31 +163,21 @@ def reduced_quadratic(h: HermFormDesc) -> QuadForm:
 
 def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int, k: FieldDesc) -> int:
     """Largest rank of an anisotropic form of a supported shape, found by
-    enumerating entry tuples over the square classes of the base field.
+    the subform-closed search of `max_anisotropic_rank` over entry tuples
+    of square classes of the base field.
 
     Entries range over k*/k*^2, which is coarser than isometry but exact
     for suprema; permutation invariance lets the enumeration run over
-    unordered selections.
+    sorted tuples, and subforms of anisotropic forms stay anisotropic.
     """
     if B.field != k:
         raise FieldMismatchError("algebra class over the wrong field")
     probe = HermFormDesc(B, inv, eps, ())
     if probe.shape == "unsupported":
         raise UnsupportedShapeError("u search covers the two reducible shapes only")
-    classes = sqcl_group(k)
-    cap = 2 * len(classes)
-    rank = 1
-    while True:
-        found = False
-        for entries in combinations_with_replacement(classes, rank):
-            if not herm_is_isotropic(HermFormDesc(B, inv, eps, entries)):
-                found = True
-                break
-        if not found:
-            return rank - 1
-        if rank > cap:
-            raise EngineError(f"anisotropic forms persist past the cap {cap}")
-        rank += 1
+    return max_anisotropic_rank(
+        sqcl_group(k),
+        lambda entries: not herm_is_isotropic(HermFormDesc(B, inv, eps, entries)))
 
 
 def canonical_involution() -> InvolutionDesc:

@@ -33,10 +33,7 @@ from .quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle
 
 def vp(x: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("zero has no valuation")
-    return split_valuation(x, p)[0]
+    return split_valuation(Fraction(x), p)[0]
 
 
 def residue_rational(x: Fraction, p: int) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .errors import EngineError, FieldMismatchError, UnsupportedFieldError
 from .fields import (
@@ -198,31 +197,44 @@ def qf_is_isotropic_oracle(q: QuadForm) -> bool:
 # ---------------------------------------------------------------------------
 # u-invariant by exhaustive search
 
+def max_anisotropic_rank(classes, is_anisotropic) -> int:
+    """Largest d such that some d-tuple of classes is anisotropic.
+
+    A subform of an anisotropic form is anisotropic (Springer 1955; Larmour,
+    Math. Z. 2006, for the hermitian shapes), so the anisotropic entry
+    tuples of dimension d+1, sorted in class order, are the anisotropic
+    extensions of those of dimension d by a class at or after their last
+    entry.  The search keeps each layer and returns d at the first empty
+    one; a hard cap of twice the class count guards against a predicate
+    that never turns isotropic.
+    """
+    cap = 2 * len(classes)
+    layer = [((), 0)]
+    rank = 0
+    while True:
+        layer = [(entries + (c,), i)
+                 for entries, start in layer
+                 for i, c in enumerate(classes[start:], start)
+                 if is_anisotropic(entries + (c,))]
+        if not layer:
+            return rank
+        rank += 1
+        if rank > cap:
+            raise EngineError(f"anisotropic forms persist past the cap {cap}")
+
+
 def u_quadratic(k: FieldDesc) -> int:
     """Largest dimension of an anisotropic diagonal form, by enumeration.
 
-    Entry tuples range over unordered selections of square classes;
-    reordering entries never changes isotropy.  The search stops at the
-    first dimension where every form is isotropic, and a hard cap of
-    twice the class count guards against runaway recursion bugs.
+    Entries range over the square classes of k; reordering entries never
+    changes isotropy, and the subform-closed search of
+    `max_anisotropic_rank` extends only the anisotropic forms of each
+    dimension.
     """
     if not is_finite_based(k):
         raise UnsupportedFieldError("u search needs a finite-based tower")
-    classes = sqcl_group(k)
-    cap = 2 * len(classes)
-    dim = 1
-    while True:
-        found_anisotropic = False
-        for entries in combinations_with_replacement(classes, dim):
-            if not qf_is_isotropic(QuadForm(k, entries)):
-                found_anisotropic = True
-                break
-        if not found_anisotropic:
-            return dim - 1
-        if dim > cap:
-            raise EngineError(f"anisotropic forms persist past the cap {cap} "
-                              f"over {field_to_str(k)}")
-        dim += 1
+    return max_anisotropic_rank(
+        sqcl_group(k), lambda entries: not qf_is_isotropic(QuadForm(k, entries)))
 
 
 def norm_form(a: SquareClass, b: SquareClass, k: FieldDesc) -> QuadForm:

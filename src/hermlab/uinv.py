@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .brauer import (
     BrauerClass,
@@ -62,7 +61,6 @@ from .fields import (
     nonsquare_unit,
     one,
     quadratic_extension,
-    sqcl_group,
     transport,
     uniformizer,
 )
@@ -185,8 +183,9 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
     derivation, and concrete leaves are checked anisotropic where they
     are built.  The witness rank is then checked against the value.
     Reducible shapes flatten to concrete diagonal entries and are
-    re-verified anisotropic through the quadratic reductions; the rest
-    stay symbolic trees whose concrete leaves are still verified.
+    re-verified anisotropic through the quadratic reductions; entries that
+    fail that check are dropped and the witness is marked unverified.  The
+    rest stay symbolic trees whose concrete leaves are still verified.
     """
     kind = UKind(kind)
     if B.field != k:
@@ -195,10 +194,8 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
     rank, flat, ok = step.node.rank, step.flat, step.ok
     if rank != step.value:
         raise EngineError(f"witness rank {rank} disagrees with value {step.value}")
-    if flat is not None:
-        if not _verify_flat(B, kind, lam, flat):
-            flat = _search_flat(B, kind, lam, rank)
-            ok = ok and flat is not None
+    if flat is not None and not _verify_flat(B, kind, lam, flat):
+        flat, ok = None, False
     return Witness(k, kind, rank, step.node, flat, lam, ok)
 
 
@@ -216,17 +213,6 @@ def _verify_flat(B: BrauerClass, kind: UKind, lam, entries) -> bool:
         h = HermFormDesc(Bn, canonical_involution(), 1, entries)
         return not herm_is_isotropic(h)
     return False
-
-
-def _search_flat(B: BrauerClass, kind: UKind, lam, rank: int):
-    """Exhaustive fallback: find any anisotropic entry tuple of the rank."""
-    k = B.field
-    if not is_finite_based(k):
-        return None
-    for entries in combinations_with_replacement(sqcl_group(k), rank):
-        if _verify_flat(B, kind, lam, entries):
-            return entries
-    return None
 
 
 # ---------------------------------------------------------------------------

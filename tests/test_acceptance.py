@@ -7,6 +7,7 @@ enforced with a comfortable margin on the measured work.
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,8 @@ from hermlab.quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle, 
 from hermlab.uinv import bounds_ai, bounds_tensor, sequence_abc, tensor_comparison_bound, u_exact
 
 import random
+
+DATA = Path(__file__).parent / "data"
 
 
 def report(name, ok, detail=""):
@@ -192,8 +195,9 @@ def test_criterion_09_lab_constructions():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_criterion_10_verify_paper_exits_clean(p, capsys):
-    code = verify_paper(p=p)
+    code = verify_paper(p=p, as_json=True)
     out = capsys.readouterr().out
-    ok = code == 0 and "FAILED" not in out
+    golden = (DATA / f"verify_paper_p{p}.json").read_text()
+    ok = code == 0 and "FAILED" not in out and out == golden
     print(f"{'PASS' if ok else 'FAIL'} criterion 10 (verify paper, p={p}): exit {code}")
     assert ok

@@ -165,6 +165,11 @@ def test_lab_commands(capsys):
     assert payload["trace_reduction"] is True
 
 
+def test_lab_symbol_needs_two_slots(capsys):
+    code, _, err = run(capsys, "lab", "pid", "--p", "5", "--symbol", "(1,2,3)")
+    assert code == 1 and "a symbol has two slots" in err
+
+
 def test_parse_element_grammar():
     alg = standard_algebra(5)
     assert parse_element(alg, "j") == basis_j(alg)

@@ -1,10 +1,13 @@
 """Isotropy deciders and the quadratic u-invariant search."""
 
+import signal
+from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from hermlab.errors import UnsupportedFieldError
+from hermlab.brauer import parse_brauer
+from hermlab.errors import EngineError, UnsupportedFieldError
 from hermlab.fields import (
     CDVField,
     FiniteField,
@@ -14,9 +17,12 @@ from hermlab.fields import (
     sqcl_group,
     symbolic,
 )
+from hermlab.hermitian import HermFormDesc, canonical_involution, herm_is_isotropic
 from hermlab.quadform import (
     QuadForm,
     albert_form,
+    is_square_rational,
+    max_anisotropic_rank,
     norm_form,
     qf_is_isotropic,
     qf_is_isotropic_oracle,
@@ -128,6 +134,55 @@ def test_u_values_and_doubling():
             k_up = CDVField(k)
             assert u_quadratic(k_up) == 2 * u_quadratic(k)
             k = k_up
+
+
+def _quadratic_anisotropic(k):
+    return lambda entries: not qf_is_isotropic(QuadForm(k, entries))
+
+
+def _shape_a_anisotropic(k):
+    B = parse_brauer(k, "(u,pi)")
+    return lambda entries: not herm_is_isotropic(
+        HermFormDesc(B, canonical_involution(), 1, entries))
+
+
+@pytest.mark.parametrize("k", [CDVField(F3), K1], ids=str)
+@pytest.mark.parametrize("predicate", [_quadratic_anisotropic, _shape_a_anisotropic],
+                         ids=["quadratic", "shape_a"])
+def test_subform_closed_layers_match_brute_force(k, predicate):
+    is_anisotropic = predicate(k)
+    kept = []
+
+    def recording(entries):
+        verdict = is_anisotropic(entries)
+        if verdict:
+            kept.append(entries)
+        return verdict
+
+    classes = sqcl_group(k)
+    rank = max_anisotropic_rank(classes, recording)
+    for d in range(1, rank + 2):
+        brute = [e for e in combinations_with_replacement(classes, d) if is_anisotropic(e)]
+        assert Counter(e for e in kept if len(e) == d) == Counter(brute)
+
+
+def test_search_cap_stops_a_predicate_that_never_turns_isotropic():
+    with pytest.raises(EngineError, match="cap 4"):
+        max_anisotropic_rank(["a", "b"], lambda entries: True)
+
+
+def test_square_test_rejects_zero():
+    def timeout(signum, frame):
+        raise TimeoutError("is_square_rational(0, 5) did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError):
+            is_square_rational(0, 5)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_dim_five_forms_all_isotropic_height_one():
