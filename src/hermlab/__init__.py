@@ -15,7 +15,6 @@ from .errors import (
     NeedsAssertionError,
     NotDivisionError,
     ParseError,
-    PrecisionError,
     UnsupportedClassError,
     UnsupportedFieldError,
     UnsupportedShapeError,
@@ -95,7 +94,6 @@ from .uinv import (
 from .lab import (
     LabAlgebra,
     LarmourResult,
-    LaurentSeries,
     QuaternionElt,
     choose_pid,
     choose_sigma,

@@ -78,10 +78,6 @@ def trivial_class(k: FieldDesc) -> BrauerClass:
     return BrauerClass(k, ())
 
 
-def symbol_class(k: FieldDesc, *symbols) -> BrauerClass:
-    return BrauerClass(k, tuple(symbols))
-
-
 def parse_brauer(k: FieldDesc, text: str) -> BrauerClass:
     """Parse the symbol-list grammar "(u,pi);(v,t)". "1" is the trivial class."""
     s = text.strip().replace(" ", "")

@@ -52,7 +52,7 @@ from .lab import (
     scalar,
     standard_algebra,
 )
-from .quadform import QuadForm, qf_is_isotropic_oracle, qf_isotropy_path
+from .quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle, qf_isotropy_path
 from .uinv import (
     bounds_ai,
     bounds_tensor,
@@ -434,7 +434,6 @@ def _verify_rows(p: int, q: int, only=None):
             for entries in itertools.product(classes, repeat=dim):
                 form = QuadForm(k1, entries)
                 total += 1
-                from .quadform import qf_is_isotropic
                 if qf_is_isotropic(form) != qf_is_isotropic_oracle(form):
                     disagreements += 1
         add("oracle", f"residue decider vs invariant decider on {total} forms",

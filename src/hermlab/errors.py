@@ -53,6 +53,3 @@ class GapError(HermlabError):
 class EngineError(HermlabError):
     """Internal invariant violated; indicates a bug, not bad input."""
 
-
-class PrecisionError(HermlabError):
-    """A truncated-series computation ran out of tracked precision."""

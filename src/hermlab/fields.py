@@ -256,14 +256,6 @@ def symbolic(k: GlobalFunctionField, *names: str) -> SquareClass:
     return SquareClass(k, frozenset(names))
 
 
-def decompose(k: FieldDesc, a: SquareClass):
-    """(unit class of the residue, valuation parity) of a class over a
-    valued layer."""
-    if a.field != k:
-        raise FieldMismatchError("class over the wrong field")
-    return a.decompose()
-
-
 def sqcl_mul(k: FieldDesc, a: SquareClass, b: SquareClass) -> SquareClass:
     if a.field != k or b.field != k:
         raise FieldMismatchError(f"class product over {field_to_str(k)} got classes over "
@@ -428,7 +420,7 @@ def _lift_symbol(k: FieldDesc, name: str) -> SquareClass:
 class TransitionMap:
     """Group homomorphism between square-class groups of two towers.
 
-    Kinds: "identity", "finite-ext" (everything dies), "unramified"
+    Kinds: "finite-ext" (everything dies), "unramified"
     (payload: residue-level map, parity preserved) and "ramified"
     (payload: the unit part of the extension class; parities fold into
     the unit part because the old uniformizer becomes a square times
@@ -440,15 +432,9 @@ class TransitionMap:
     payload: object = None
 
 
-def identity_map(k: FieldDesc) -> TransitionMap:
-    return TransitionMap(k, k, "identity")
-
-
 def transport(m: TransitionMap, a: SquareClass) -> SquareClass:
     if a.field != m.source:
         raise FieldMismatchError("class does not live over the map's source field")
-    if m.kind == "identity":
-        return a
     if m.kind == "finite-ext":
         return one(m.target)
     if m.kind == "unramified":

@@ -1,10 +1,9 @@
 """Concrete exact arithmetic for checking the constructions on real elements.
 
 Everything here computes with honest numbers: rationals with their
-p-valuation, quaternions with explicit coordinates, and truncated series
-with tracked precision.  The symbolic engine's claims about involutions,
-parameters and residue decompositions are re-derived on elements and
-compared, never assumed.
+p-valuation and quaternions with explicit coordinates.  The symbolic
+engine's claims about involutions, parameters and residue decompositions
+are re-derived on elements and compared, never assumed.
 
 The quaternion presentation is (a, b)/Q_p with i*i = a, j*j = b and
 ij = -ji, where a is a nonsquare unit and b has odd valuation; for that
@@ -15,12 +14,10 @@ field generated by the image of i.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EngineError, PrecisionError, UnsupportedShapeError
+from .errors import EngineError, UnsupportedShapeError
 from .fields import (
     CDVField,
     FiniteField,
@@ -458,177 +455,3 @@ def jacobson_verdict(scalars, alg: LabAlgebra) -> bool:
     if verdict != oracle:
         raise EngineError("the two quadratic deciders disagree")
     return verdict
-
-
-# ---------------------------------------------------------------------------
-# truncated series with tracked precision
-
-def default_precision() -> int:
-    value = os.environ.get("HERMLAB_PRECISION", "8")
-    try:
-        n = int(value)
-    except ValueError:
-        raise PrecisionError(f"bad HERMLAB_PRECISION value {value!r}") from None
-    if n < 1:
-        raise PrecisionError("precision must be positive")
-    return n
-
-
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Finitely many exact coefficients, known modulo t**prec.
-
-    Arithmetic keeps the weakest precision of its operands; inversion
-    needs a known nonzero leading coefficient and division inherits the
-    corresponding loss.
-    """
-
-    coeffs: tuple   # starting at exponent shift; no leading/trailing zeros
-    shift: int
-    prec: int       # coefficients at exponents < prec are known
-
-    @staticmethod
-    def make(coeffs, shift: int, prec: int) -> "LaurentSeries":
-        items = [Fraction(c) for c in coeffs]
-        items = items[:max(0, prec - shift)]
-        while items and items[0] == 0:
-            items.pop(0)
-            shift += 1
-        while items and items[-1] == 0:
-            items.pop()
-        if not items:
-            return LaurentSeries((), prec, prec)
-        return LaurentSeries(tuple(items), shift, prec)
-
-    @staticmethod
-    def constant(c, prec: int = None) -> "LaurentSeries":
-        return LaurentSeries.make([Fraction(c)], 0, prec or default_precision())
-
-    @staticmethod
-    def t_power(m: int = 1, prec: int = None) -> "LaurentSeries":
-        return LaurentSeries.make([Fraction(1)], m, prec or default_precision())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, m: int) -> Fraction:
-        if m >= self.prec:
-            raise PrecisionError(f"coefficient at t^{m} is beyond precision {self.prec}")
-        if not self.coeffs or m < self.shift or m >= self.shift + len(self.coeffs):
-            return Fraction(0)
-        return self.coeffs[m - self.shift]
-
-    def valuation(self) -> int:
-        if not self.coeffs:
-            raise PrecisionError("no known nonzero coefficient")
-        return self.shift
-
-    def residue(self) -> Fraction:
-        if self.coeffs and self.shift < 0:
-            raise ValueError("negative valuation has no residue")
-        return self.coefficient(0)
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        prec = min(self.prec, other.prec)
-        lo = min(self.shift if self.coeffs else prec,
-                 other.shift if other.coeffs else prec)
-        items = [self.coefficient(m) + other.coefficient(m)
-                 for m in range(lo, prec)]
-        return LaurentSeries.make(items, lo, prec)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(tuple(-c for c in self.coeffs), self.shift, self.prec)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if self.is_zero or other.is_zero:
-            prec = min(self.prec, other.prec)
-            return LaurentSeries((), prec, prec)
-        prec = min(self.shift + other.prec, other.shift + self.prec)
-        lo = self.shift + other.shift
-        out = [Fraction(0)] * (prec - lo)
-        for m1, c1 in enumerate(self.coeffs):
-            for m2, c2 in enumerate(other.coeffs):
-                m = lo + m1 + m2
-                if m < prec:
-                    out[m - lo] += c1 * c2
-        return LaurentSeries.make(out, lo, prec)
-
-    def inverse(self) -> "LaurentSeries":
-        v = self.valuation()
-        lead = self.coeffs[0]
-        rel = self.prec - v
-        # 1/(lead * t^v * (1 + r)) with r of positive relative valuation
-        inv = [Fraction(0)] * rel
-        inv[0] = Fraction(1) / lead
-        for m in range(1, rel):
-            acc = Fraction(0)
-            for j in range(1, m + 1):
-                acc += self.coefficient(v + j) * inv[m - j]
-            inv[m] = -acc / lead
-        return LaurentSeries.make(inv, -v, self.prec - 2 * v)
-
-    def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self * other.inverse()
-
-    def sqrt(self) -> "LaurentSeries":
-        """Square root of a series of even valuation whose leading
-        coefficient is a rational square (Newton iteration)."""
-        v = self.valuation()
-        if v % 2:
-            raise ValueError("odd valuation; not a square")
-        lead = self.coeffs[0]
-        root = _fraction_sqrt(lead)
-        if root is None:
-            raise ValueError(f"leading coefficient {lead} is not a rational square")
-        guess = LaurentSeries.make([root], v // 2, self.prec - v // 2)
-        half = LaurentSeries.constant(Fraction(1, 2), self.prec)
-        for _ in range(self.prec + 2):
-            nxt = half * (guess + self / guess)
-            if nxt == guess:
-                break
-            guess = nxt
-        return guess
-
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equality on the overlap of the known ranges."""
-        prec = min(self.prec, other.prec)
-        lo = min(self.shift if self.coeffs else prec,
-                 other.shift if other.coeffs else prec)
-        return all(self.coefficient(m) == other.coefficient(m)
-                   for m in range(lo, prec))
-
-    def __str__(self):
-        if not self.coeffs:
-            return f"O(t^{self.prec})"
-        terms = [f"{c}*t^{self.shift + m}" for m, c in enumerate(self.coeffs) if c != 0]
-        return " + ".join(terms) + f" + O(t^{self.prec})"
-
-
-def _fraction_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    num = _int_sqrt(x.numerator)
-    den = _int_sqrt(x.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _int_sqrt(n: int):
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def with_higher_precision(fn, start: int = None, max_doublings: int = 4):
-    """Run fn(prec), doubling the precision on precision loss."""
-    prec = start or default_precision()
-    for _ in range(max_doublings):
-        try:
-            return fn(prec)
-        except PrecisionError:
-            prec *= 2
-    return fn(prec)

@@ -54,35 +54,39 @@ class QuadForm:
         return "<" + ",".join(class_to_str(a) for a in self.entries) + ">"
 
 
-def make_form(k: FieldDesc, entries) -> QuadForm:
-    return QuadForm(k, tuple(entries))
-
-
 def qf_is_isotropic(q: QuadForm) -> bool:
-    isotropic, _ = qf_isotropy_path(q)
-    return isotropic
+    _require_finite_based(q.field)
+    return _isotropic_rec(q, None)
 
 
 def qf_isotropy_path(q: QuadForm):
     """Decide isotropy and log every residue split on the way down."""
-    if not is_finite_based(q.field):
-        raise UnsupportedFieldError("isotropy is undecidable over a "
-                                    "global-function-field base")
+    _require_finite_based(q.field)
     path = []
     return _isotropic_rec(q, path), path
 
 
-def _isotropic_rec(q: QuadForm, path: list) -> bool:
+def _require_finite_based(k: FieldDesc) -> None:
+    if not is_finite_based(k):
+        raise UnsupportedFieldError("isotropy is undecidable over a "
+                                    "global-function-field base")
+
+
+def _isotropic_rec(q: QuadForm, path: list | None) -> bool:
+    """Residue recursion; appends one entry per node to path unless it is
+    None, so plain decisions format no strings."""
     k = q.field
     if q.dim == 0:
-        path.append({"field": field_to_str(k), "form": str(q),
-                     "isotropic": False, "reason": "empty form"})
+        if path is not None:
+            path.append({"field": field_to_str(k), "form": str(q),
+                         "isotropic": False, "reason": "empty form"})
         return False
     if isinstance(k, FiniteField):
         return _finite_base_case(q, path)
     unit_part, odd_part = _springer_split(q)
-    path.append({"field": field_to_str(k), "form": str(q),
-                 "unit_part": str(unit_part), "twisted_part": str(odd_part)})
+    if path is not None:
+        path.append({"field": field_to_str(k), "form": str(q),
+                     "unit_part": str(unit_part), "twisted_part": str(odd_part)})
     return _isotropic_rec(unit_part, path) or _isotropic_rec(odd_part, path)
 
 
@@ -95,7 +99,7 @@ def _springer_split(q: QuadForm):
     return QuadForm(k.residue, tuple(units)), QuadForm(k.residue, tuple(odd))
 
 
-def _finite_base_case(q: QuadForm, path: list) -> bool:
+def _finite_base_case(q: QuadForm, path: list | None) -> bool:
     k: FiniteField = q.field
     if q.dim >= 3:
         verdict, reason = True, "three or more variables over a finite field"
@@ -105,8 +109,9 @@ def _finite_base_case(q: QuadForm, path: list) -> bool:
         reason = "binary form, -ab square" if verdict else "binary form, -ab nonsquare"
     else:
         verdict, reason = False, "at most one variable"
-    path.append({"field": field_to_str(k), "form": str(q),
-                 "isotropic": verdict, "reason": reason})
+    if path is not None:
+        path.append({"field": field_to_str(k), "form": str(q),
+                     "isotropic": verdict, "reason": reason})
     return verdict
 
 

@@ -34,8 +34,8 @@ from .brauer import (
     bc_base_change,
     bc_is_division,
     bc_ramification,
-    bc_single_symbol_rep,
     classify_unitary_case,
+    parse_brauer,
     trivial_class,
 )
 from .derivation import Derivation, leaf
@@ -60,6 +60,7 @@ from .fields import (
     minus_one,
     nonsquare_unit,
     one,
+    parse_field,
     quadratic_extension,
     transport,
     uniformizer,
@@ -69,9 +70,11 @@ from .hermitian import (
     UKind,
     canonical_involution,
     herm_is_isotropic,
+    morita_reduce,
+    u_search,
     unitary_involution,
 )
-from .quadform import QuadForm, qf_is_isotropic
+from .quadform import QuadForm, qf_is_isotropic, u_quadratic
 
 # Base values. A finite field carries an anisotropic plane and nothing
 # bigger, skew rank-one entries cannot exist away from characteristic 2,
@@ -171,7 +174,7 @@ def u_exact(B: BrauerClass, kind, lam: SquareClass = None,
     global-function-field residue, division facts the recursion needs must
     be asserted through the token "residue" and are echoed in the tree.
     """
-    step = _walk(B, UKind(kind), lam, frozenset(assertions))
+    step, _ = _walk(B, UKind(kind), lam, frozenset(assertions))
     return UResult(step.value, step.derivation)
 
 
@@ -190,18 +193,18 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
     kind = UKind(kind)
     if B.field != k:
         raise FieldMismatchError("class over the wrong field")
-    step = _walk(B, kind, lam, frozenset(assertions))
+    step, category = _walk(B, kind, lam, frozenset(assertions))
     rank, flat, ok = step.node.rank, step.flat, step.ok
     if rank != step.value:
         raise EngineError(f"witness rank {rank} disagrees with value {step.value}")
-    if flat is not None and not _verify_flat(B, kind, lam, flat):
+    if flat is not None and not _verify_flat(category, kind, lam, flat):
         flat, ok = None, False
     return Witness(k, kind, rank, step.node, flat, lam, ok)
 
 
-def _verify_flat(B: BrauerClass, kind: UKind, lam, entries) -> bool:
-    k = B.field
-    cat, Bn = _category(B)
+def _verify_flat(category, kind: UKind, lam, entries) -> bool:
+    cat, Bn = category
+    k = Bn.field
     if kind is UKind.ZERO:
         if cat != "field":
             return False
@@ -233,16 +236,22 @@ class _Step:
         return self.derivation.value
 
 
-def _walk(B: BrauerClass, kind: UKind, lam, assertions) -> _Step:
+def _walk(B: BrauerClass, kind: UKind, lam, assertions):
+    """The walk from the top class: its step, and the class's category and
+    normalized class, which `witness` reuses to re-verify flat entries."""
     if kind is UKind.ZERO:
         if lam is None:
             raise InvalidExtensionError("unitary values need the extension class")
         if lam.field != B.field:
             raise FieldMismatchError("extension class over the wrong field")
-        return _unitary(B, lam, assertions)
+        if lam.is_one:
+            raise InvalidExtensionError("the trivial class defines no quadratic extension")
+        category = _category(B)
+        return _unitary(B, lam, assertions, category=category), category
     if lam is not None:
         raise InvalidExtensionError("first-kind values take no extension class")
-    return _first_kind(B, kind, assertions)
+    category = _category(B)
+    return _first_kind(B, kind, assertions, category), category
 
 
 def _category(B: BrauerClass):
@@ -250,22 +259,16 @@ def _category(B: BrauerClass):
     syms = B.effective_symbols
     if len(syms) > 2:
         raise UnsupportedClassError(f"{len(syms)} symbols; at most two are supported")
-    k = B.field
-    if is_finite_based(k):
-        kind = bc_is_division(B)
-        if kind == DivisionKind.SPLIT:
-            return "field", trivial_class(k)
-        if kind == DivisionKind.QUATERNION:
-            if len(syms) == 1:
-                return "quaternion", BrauerClass(k, syms)
-            return "quaternion", BrauerClass(k, (bc_single_symbol_rep(B),))
-        return "biquaternion", BrauerClass(k, syms)
-    return _gff_category(B), BrauerClass(k, syms)
+    if is_finite_based(B.field):
+        Bn, _ = morita_reduce(1, B, UKind.PLUS)
+    else:
+        Bn = BrauerClass(B.field, syms)
+    return _gff_category(Bn), Bn
 
 
 def _gff_category(B: BrauerClass) -> str:
-    """Category of a class whose division is asserted, not computed: the
-    count of its nontrivial symbols."""
+    """Category of a division class, or of one whose division is asserted:
+    the count of its nontrivial symbols."""
     syms = B.effective_symbols
     if not syms:
         return "field"
@@ -354,9 +357,10 @@ def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
         flat, first.ok and second.ok)
 
 
-def _first_kind(B: BrauerClass, kind: UKind, assertions) -> _Step:
+def _first_kind(B: BrauerClass, kind: UKind, assertions,
+                category=None) -> _Step:
     k = B.field
-    cat, Bn = _category(B)
+    cat, Bn = category or _category(B)
     fl, cl = field_to_str(k), str(Bn)
     if cat == "field" and kind is UKind.MINUS:
         return _Step(leaf("base:field-minus", fl, cl, kind.value, 0,
@@ -397,7 +401,7 @@ def _ext_first_kind(res: FieldDesc, R0: BrauerClass, chi: SquareClass,
 
 
 def _unitary(B: BrauerClass, lam: SquareClass, assertions,
-             morita: bool = False) -> _Step:
+             morita: bool = False, category=None) -> _Step:
     """Unitary value of the algebra presented by (class, extension class).
 
     With morita set (internal residue-algebra presentations), a class that
@@ -407,7 +411,7 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     k = B.field
     if lam.is_one:
         raise InvalidExtensionError("the trivial class defines no quadratic extension")
-    cat, Bn = _category(B)
+    cat, Bn = category or _category(B)
     morita_note = None
     if (morita and cat != "field" and isinstance(k, CDVField)
             and is_finite_based(k)):
@@ -690,10 +694,6 @@ def expected_table(p: int = 5, q: int = 9):
     the arithmetic shape of the derivation, e.g. 6 via 2+4 versus 6 via
     2*3.
     """
-    from .brauer import parse_brauer  # local import keeps module load light
-    from .fields import parse_field
-    from .hermitian import u_search
-
     k0 = parse_field(f"F{p}")
     k1 = parse_field(f"CDV(F{p})")
     k2 = parse_field(f"CDV(CDV(F{p}))")
@@ -703,8 +703,6 @@ def expected_table(p: int = 5, q: int = 9):
     B2r = parse_brauer(k2, "(u,t)")
     Bg = parse_brauer(kg, "(a,b);(v,pi)")
     residue = frozenset({"residue"})
-
-    from .quadform import u_quadratic
 
     entries = [
         TableEntry("uquad", f"u(F{p})", 2,

@@ -1,6 +1,9 @@
 """Command parsing, output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from hermlab.errors import ParseError
 from hermlab.lab import basis_ij, basis_j, scalar, standard_algebra
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -59,6 +63,27 @@ def test_quad_json_payload(capsys):
     assert payload["path"] and payload["path"][0]["field"] == "CDV(F5)"
     # stable under reserialization
     assert json.loads(json.dumps(payload)) == payload
+
+
+# Full `isotropy quad --json` outputs, pinned byte for byte: residue paths at
+# heights 1-3 through every finite-field reason, an empty twisted part, both
+# verdicts and the invariant decider.
+ISOTROPY_GOLDEN = {
+    "h1f5_1_u": "--field CDV(F5) --form 1,u",
+    "h1f5_1_u_pi_upi_oracle": "--field CDV(F5) --form 1,u,pi,u*pi --oracle",
+    "h1f3_1_1_1": "--field CDV(F3) --form 1,1,1",
+    "h2f5_1_u_p_t_upt": "--field CDV(CDV(F5)) --form 1,u,p,t,u*p*t",
+    "h2f3_1_u_pi_upi_t": "--field CDV(CDV(F3)) --form 1,u,pi,u*pi,t",
+    "h3f5_1_u_pi_t_s_upits": "--field CDV(CDV(CDV(F5))) --form 1,u,pi,t,s,u*pi*t*s",
+}
+
+
+@pytest.mark.parametrize("name", list(ISOTROPY_GOLDEN))
+def test_isotropy_quad_json_golden(capsys, name):
+    code, out, _ = run(capsys, "isotropy", "quad", *ISOTROPY_GOLDEN[name].split(),
+                       "--json")
+    assert code == 0
+    assert out == (DATA / f"isotropy_quad_{name}.json").read_text()
 
 
 def test_herm_json_payload(capsys):
@@ -206,3 +231,13 @@ def test_help_text_lists_verbs():
     helptext = build_parser().format_help()
     for verb in ("isotropy", "usearch", "uinv", "bounds", "lab", "verify"):
         assert verb in helptext
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hermlab", "bounds", "ai", "--i", "3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == "plus <= 6, minus <= 2\n"

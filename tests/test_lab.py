@@ -1,5 +1,5 @@
-"""Concrete quaternion arithmetic, parameter constructions, decomposition,
-and truncated-series precision tracking."""
+"""Concrete quaternion arithmetic, parameter constructions and the
+residue decomposition."""
 
 import random
 from fractions import Fraction
@@ -7,17 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlab.errors import PrecisionError, UnsupportedShapeError
+from hermlab.errors import UnsupportedShapeError
 from hermlab.lab import (
     LabAlgebra,
-    LaurentSeries,
-    _fraction_sqrt,
     basis_i,
     basis_ij,
     basis_j,
     choose_pid,
     choose_sigma,
-    default_precision,
     fp2_is_square,
     gamma_involution,
     jacobson_verdict,
@@ -28,7 +25,6 @@ from hermlab.lab import (
     standard_algebra,
     vp,
     w_value,
-    with_higher_precision,
 )
 
 ALG = standard_algebra(5)
@@ -241,88 +237,3 @@ def test_residue_square_classes():
     for c in range(1, 5):
         assert fp2_is_square((c, 0), 5, 2)
     assert not fp2_is_square((0, 1), 5, 2)  # sqrt(u) is not a square when p = 5
-
-
-# truncated series ------------------------------------------------------------
-
-def test_series_arithmetic():
-    t = LaurentSeries.t_power()
-    one = LaurentSeries.constant(1)
-    s = one + t
-    assert (s - s).is_zero
-    assert (s * s).coefficient(1) == 2
-    inv = s.inverse()
-    assert (inv * s).agrees_with(one)
-    assert inv.coefficient(5) == -1
-
-
-def test_series_precision_rules():
-    a = LaurentSeries.make([1, 1], 0, 4)
-    b = LaurentSeries.make([1], 2, 10)
-    assert (a + b).prec == 4
-    assert (a * b).prec == 6  # 2 + 4
-    assert (a * b).valuation() == 2
-
-
-def test_series_inverse_needs_known_leading_term():
-    zero_to_prec = LaurentSeries.make([], 0, 6)
-    with pytest.raises(PrecisionError):
-        zero_to_prec.valuation()
-    with pytest.raises(PrecisionError):
-        zero_to_prec.inverse()
-
-
-def test_series_coefficient_beyond_precision_errors():
-    s = LaurentSeries.make([1, 2, 3], 0, 3)
-    assert s.coefficient(2) == 3
-    with pytest.raises(PrecisionError):
-        s.coefficient(3)
-
-
-def test_series_sqrt():
-    t = LaurentSeries.t_power(prec=10)
-    s = LaurentSeries.constant(1, prec=10) + t
-    r = s.sqrt()
-    assert (r * r).agrees_with(s)
-    assert r.coefficient(1) == Fraction(1, 2)
-    shifted = s * LaurentSeries.t_power(2, prec=10)
-    assert (shifted.sqrt() * shifted.sqrt()).agrees_with(shifted)
-    with pytest.raises(ValueError):
-        (s * LaurentSeries.t_power(1, prec=10)).sqrt()
-
-
-def test_fraction_sqrt_beyond_float_range():
-    assert _fraction_sqrt(Fraction(10 ** 400)) == 10 ** 200
-    assert _fraction_sqrt(Fraction(10 ** 401)) is None
-
-
-def test_series_residues_stable_under_higher_precision():
-    def residue_at(prec):
-        t = LaurentSeries.t_power(prec=prec)
-        one = LaurentSeries.constant(1, prec=prec)
-        value = ((one + t).sqrt() * (one - t).inverse())
-        return value.residue(), value.coefficient(1), value.coefficient(2)
-
-    assert residue_at(8) == residue_at(16) == residue_at(32)
-
-
-def test_default_precision_env(monkeypatch):
-    monkeypatch.setenv("HERMLAB_PRECISION", "12")
-    assert default_precision() == 12
-    assert LaurentSeries.constant(1).prec == 12
-    monkeypatch.setenv("HERMLAB_PRECISION", "zero")
-    with pytest.raises(PrecisionError):
-        default_precision()
-
-
-def test_with_higher_precision_retries():
-    calls = []
-
-    def needs_sixteen(prec):
-        calls.append(prec)
-        if prec < 16:
-            raise PrecisionError("not enough")
-        return prec
-
-    assert with_higher_precision(needs_sixteen, start=4) == 16
-    assert calls == [4, 8, 16]

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
+from hermlab import quadform
 from hermlab.brauer import parse_brauer
 from hermlab.errors import EngineError, UnsupportedFieldError
 from hermlab.fields import (
@@ -225,3 +226,15 @@ def test_isotropy_path_logs_splits():
     assert path[0]["field"] == "CDV(CDV(F5))"
     assert "unit_part" in path[0]
     assert any(step.get("reason") for step in path)
+
+
+def test_plain_decision_formats_no_path_strings(monkeypatch):
+    anisotropic, isotropic = form(K2, "1,u,t,u*t"), form(K2, "1,1,1")
+
+    def refuse(*_):
+        raise AssertionError("a plain isotropy decision formatted a path string")
+
+    monkeypatch.setattr(QuadForm, "__str__", refuse)
+    monkeypatch.setattr(quadform, "field_to_str", refuse)
+    assert not qf_is_isotropic(anisotropic)
+    assert qf_is_isotropic(isotropic)
