@@ -34,6 +34,7 @@ from .fields import (
     SquareClass,
     TransitionMap,
     class_to_str,
+    from_parts,
     is_finite_based,
     minus_one,
     one,
@@ -170,20 +171,43 @@ def bc_is_division(B: BrauerClass) -> DivisionKind:
 
 
 def bc_single_symbol_rep(B: BrauerClass):
-    """A symbol (a, b) equivalent to a quaternion-index class, found by
-    searching square-class pairs in canonical order."""
+    """A symbol (a, b) equivalent to a quaternion-index class.
+
+    The result is the first pair in ``sqcl_group`` order, a outer and b
+    inner, for which B + (a, b) is trivial.  Derivations and witnesses print
+    it, so that choice is part of the contract.  The search ramifies B once:
+    with a = s*pi^i and b = t*pi^j the pair adds s^j * t^i * (-1)^(ij) to
+    B's character and (s, t) to its residue class, so only pairs that clear
+    the character reach the residue test.
+    """
     if bc_is_division(B) != DivisionKind.QUATERNION:
         raise UnsupportedClassError("single-symbol representatives exist for "
                                     "quaternion-index classes only")
     syms = B.effective_symbols
     if len(syms) == 1:
         return syms[0]
-    classes = sqcl_group(B.field)
-    for a in classes:
-        for b in classes:
-            candidate = BrauerClass(B.field, B.symbols + ((a, b),))
-            if bc_is_trivial(candidate):
-                return (a, b)
+    k = B.field
+    ram = bc_ramification(B)
+    res = k.residue
+    units = sqcl_group(res)
+    m1 = minus_one(res)
+    base = ram.residue_class.symbols
+    for a in sqcl_group(k):
+        s, i = a.decompose()
+        # b = t*pi^j clears the character iff t^i = character * s^j * (-1)^(ij);
+        # sqcl_group lists every b with j = 0 first, each parity in `units` order.
+        needs = (ram.character, ram.character * (s * m1 if i else s))
+        for j, need in enumerate(needs):
+            if i:
+                candidates = (need,)
+            elif need.is_one:
+                candidates = units
+            else:
+                continue
+            for t in candidates:
+                extra = ((s, t),) if not s.is_one and not t.is_one else ()
+                if bc_is_trivial(BrauerClass(res, base + extra)):
+                    return (a, from_parts(k, t, j))
     raise EngineError("no symbol representative found for a quaternion class")
 
 

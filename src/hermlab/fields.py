@@ -28,7 +28,19 @@ from .errors import (
 )
 
 
+# Primality is decided by trial division, about sqrt(n) steps.  Sizes above
+# this bound (a fraction of a second of division) are refused, not tested.
+MAX_FIELD_SIZE = 10 ** 12
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {n} is above the supported bound "
+                         f"{MAX_FIELD_SIZE}")
+
+
 def _is_prime(n: int) -> bool:
+    _check_size(n)
     if n < 2:
         return False
     d = 2
@@ -40,6 +52,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _odd_prime_power(q: int) -> bool:
+    _check_size(q)
     if q < 3 or q % 2 == 0:
         return False
     p = 3

@@ -67,6 +67,7 @@ class LabAlgebra:
 
 def standard_algebra(p: int) -> LabAlgebra:
     """(u, p) with u the least positive nonresidue mod p."""
+    FiniteField(p)  # an odd prime within the size bound, so the search ends
     return LabAlgebra(Fraction(smallest_nonresidue(p)), Fraction(p), p)
 
 

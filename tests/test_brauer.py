@@ -1,6 +1,6 @@
 """Brauer class predicates, ramification data and the case classifier."""
 
-from itertools import product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -31,6 +31,7 @@ from hermlab.fields import (
     class_to_str,
     minus_one,
     parse_class,
+    parse_field,
     quadratic_extension,
     sqcl_group,
 )
@@ -110,11 +111,50 @@ def test_no_two_symbol_class_is_biquaternion_over_height_two():
 
 def test_single_symbol_rep_is_minimal_and_equivalent():
     B = parse_brauer(K1, "(u,pi);(u,u)")
-    if bc_is_division(B) == DivisionKind.QUATERNION:
-        rep = bc_single_symbol_rep(B)
-        assert bc_is_trivial(B.combined_with(BrauerClass(K1, (rep,))))
+    assert bc_is_division(B) == DivisionKind.QUATERNION
+    rep = bc_single_symbol_rep(B)
+    assert bc_is_trivial(B.combined_with(BrauerClass(K1, (rep,))))
     assert bc_single_symbol_rep(parse_brauer(K1, "(u,pi)")) == \
         tuple(parse_brauer(K1, "(u,pi)").symbols[0])
+
+
+def _first_trivialising_pair(B):
+    """Reference search: every square-class pair in order, each tested by
+    re-ramifying the whole class B + (a, b)."""
+    classes = sqcl_group(B.field)
+    for a in classes:
+        for b in classes:
+            if bc_is_trivial(BrauerClass(B.field, B.symbols + ((a, b),))):
+                return (a, b)
+    return None
+
+
+def _quaternion_two_symbol_classes(k, stride):
+    """Every stride-th unordered pair of distinct symbols with nontrivial
+    slots over k, kept when the class has quaternion index."""
+    nontrivial = sqcl_group(k)[1:]
+    symbols = list(product(nontrivial, repeat=2))
+    for pair in islice(combinations(symbols, 2), 0, None, stride):
+        B = BrauerClass(k, pair)
+        if bc_is_division(B) == DivisionKind.QUATERNION:
+            yield B
+
+
+@pytest.mark.parametrize("field,stride,expected", [
+    ("CDV(F3)", 1, 18),
+    ("CDV(F5)", 1, 18),
+    ("CDV(F7)", 1, 18),
+    ("CDV(CDV(F3))", 1, 1050),
+    ("CDV(CDV(CDV(F5)))", 251, 60),
+    ("CDV(CDV(CDV(CDV(F3))))", 4001, 30),
+])
+def test_single_symbol_rep_is_the_first_trivialising_pair(field, stride, expected):
+    k = parse_field(field)
+    seen = 0
+    for B in _quaternion_two_symbol_classes(k, stride):
+        assert bc_single_symbol_rep(B) == _first_trivialising_pair(B), str(B)
+        seen += 1
+    assert seen == expected
 
 
 def test_base_change_by_ramified_map_unramifies():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,14 @@ WITNESS_GOLDEN = {
     "h2f5_up_zero_t": "--field CDV(CDV(F5)) --class (u,p) --type zero --lambda t",
     "h2f3_upit_plus": "--field CDV(CDV(F3)) --class (u,pi*t) --type plus",
     "h3f3_upi_ts_plus": "--field CDV(CDV(CDV(F3))) --class (u,pi);(t,s) --type plus",
+    "h3f5_upi_tupi_minus": "--field CDV(CDV(CDV(F5))) --class (u,pi);(t,u*pi) "
+                           "--type minus",
+    "h3f5_upit_piut_zero_s": "--field CDV(CDV(CDV(F5))) --class (u*pi,t);(pi,u*t) "
+                             "--type zero --lambda s",
+    "h4f3_upi_pit_plus": "--field CDV(CDV(CDV(CDV(F3)))) --class (u,pi);(pi,t) "
+                         "--type plus",
+    "h4f3_upit_piut_zero_t": "--field CDV(CDV(CDV(CDV(F3)))) --class (u*pi,t);(pi,u*t) "
+                             "--type zero --lambda t",
     "gff_ab_vpi_plus": "--field CDV(GFF(9)) --class (a,b);(v,pi) --type plus "
                        "--assert-division residue",
     "gff_vpi_zero_w": "--field CDV(GFF(9)) --class (v,pi) --type zero --lambda w "
@@ -193,6 +202,29 @@ def test_lab_commands(capsys):
 def test_lab_symbol_needs_two_slots(capsys):
     code, _, err = run(capsys, "lab", "pid", "--p", "5", "--symbol", "(1,2,3)")
     assert code == 1 and "a symbol has two slots" in err
+
+
+HUGE = "1000000000000000003"
+
+
+@pytest.mark.parametrize("argv", [
+    ("lab", "pid", "--p", HUGE),
+    ("lab", "pid", "--p", "1000000000000000000"),
+    ("isotropy", "quad", "--field", f"F{HUGE}", "--form", "1"),
+    ("verify", "paper", "--q", HUGE, "--only", "gff"),
+])
+def test_huge_field_size_is_a_usage_error(capsys, argv):
+    def timeout(signum, frame):
+        raise TimeoutError(f"{' '.join(argv)} did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        code, _, err = run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1 and "above the supported bound" in err
 
 
 def test_parse_element_grammar():

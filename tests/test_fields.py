@@ -13,6 +13,7 @@ from hermlab.errors import (
     UnsupportedFieldError,
 )
 from hermlab.fields import (
+    MAX_FIELD_SIZE,
     CDVField,
     FiniteField,
     GlobalFunctionField,
@@ -210,3 +211,13 @@ def test_gff_has_no_extension_operator():
     g = GlobalFunctionField(9)
     with pytest.raises(UnsupportedFieldError):
         quadratic_extension(g, symbolic(g, "v"))
+
+
+def test_field_sizes_above_the_bound_are_refused():
+    with pytest.raises(ValueError, match="supported bound"):
+        FiniteField(MAX_FIELD_SIZE + 39)
+    with pytest.raises(ValueError, match="supported bound"):
+        GlobalFunctionField(3 ** 26)
+    with pytest.raises(ParseError, match="supported bound"):
+        parse_field(f"CDV(F{MAX_FIELD_SIZE + 39})")
+    assert FiniteField(1000003).p == 1000003
