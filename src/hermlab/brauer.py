@@ -113,14 +113,12 @@ def bc_ramification(B: BrauerClass) -> RamificationData:
     for a, b in B.symbols:
         (s, i) = a.decompose()
         (t, j) = b.decompose()
-        contrib = one(res)
         if j:
-            contrib = contrib * s
+            character = character * s
         if i:
-            contrib = contrib * t
+            character = character * t
         if i and j:
-            contrib = contrib * m1
-        character = character * contrib
+            character = character * m1
         if not s.is_one and not t.is_one:
             residue_symbols.append((s, t))
     return RamificationData(character, BrauerClass(res, tuple(residue_symbols)))

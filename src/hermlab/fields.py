@@ -1,11 +1,15 @@
 """Symbolic field towers and their exact square-class calculus.
 
 A tower is a finite base field (or an axiomatized global function field)
-wrapped in zero or more complete discretely valued layers.  Square classes
-are carried exactly and recursively: two classes over an odd finite base,
-doubling with every valued layer.  Over a global-function-field base the
-class group is a free symbolic group on named generators; it multiplies
-but cannot be enumerated.
+wrapped in zero or more complete discretely valued layers.  Each valued
+layer doubles the square-class group into (unit class, uniformizer
+parity), so over a finite base of height h the classes are the F_2-vector
+space of (h+1)-bit masks: bit 0 is the base nonsquare u, bit i the parity
+of the depth-i uniformizer (pi, t, s, s2, ... counted from the innermost
+layer), and the product is XOR.  The canonical order of the group is the
+integer order of the masks.  Over a global-function-field base the unit
+part is a free symbolic group on named generators, kept as a set next to
+the uniformizer bits; it multiplies but cannot be enumerated.
 
 Quadratic extensions and their class-transport maps are the only way two
 towers talk to each other.  A ramified extension reuses the same field
@@ -196,31 +200,30 @@ def parse_field(text: str) -> FieldDesc:
 
 @dataclass(frozen=True)
 class SquareClass:
-    """Canonical element of k*/k*^2 over a tower field.
+    """Element of k*/k*^2 over a tower field, as a bit mask.
 
-    Payload by base: an int bit over a finite field (0 = squares,
-    1 = the fixed nonsquare), a frozenset of generator names over a
-    global function field, and a (unit class, valuation parity) pair
-    over a valued layer.
+    Bit 0 of ``data`` is the fixed nonsquare unit ``u`` of a finite base,
+    and bit i (1 <= i <= height) the parity of the depth-i uniformizer.
+    Over a global-function-field base ``names`` holds the symbolic unit
+    generators and bit 0 stays clear; over a finite base ``names`` is
+    empty.  The product is XOR on both parts.
     """
 
     field: FieldDesc
-    data: object
+    data: int
+    names: frozenset = frozenset()
 
     @property
     def is_one(self) -> bool:
-        if isinstance(self.field, FiniteField):
-            return self.data == 0
-        if isinstance(self.field, GlobalFunctionField):
-            return not self.data
-        unit, vpar = self.data
-        return vpar == 0 and unit.is_one
+        return not self.data and not self.names
 
     def decompose(self):
         """Over a valued layer: (unit class of the residue, valuation parity)."""
-        if not isinstance(self.field, CDVField):
+        k = self.field
+        if not isinstance(k, CDVField):
             raise UnsupportedFieldError("decompose needs a valued layer")
-        return self.data
+        h = height(k)
+        return SquareClass(k.residue, self.data & ~(1 << h), self.names), self.data >> h
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         return sqcl_mul(self.field, self, other)
@@ -230,32 +233,26 @@ class SquareClass:
 
 
 def one(k: FieldDesc) -> SquareClass:
-    if isinstance(k, FiniteField):
-        return SquareClass(k, 0)
-    if isinstance(k, GlobalFunctionField):
-        return SquareClass(k, frozenset())
-    return SquareClass(k, (one(k.residue), 0))
+    return SquareClass(k, 0)
 
 
 def nonsquare_unit(k: FieldDesc) -> SquareClass:
     """The canonical nonsquare unit: the lifted nonsquare of the finite base."""
-    if isinstance(k, FiniteField):
-        return SquareClass(k, 1)
-    if isinstance(k, GlobalFunctionField):
+    if not is_finite_based(k):
         raise UnsupportedFieldError("no canonical nonsquare over a global function field")
-    return SquareClass(k, (nonsquare_unit(k.residue), 0))
+    return SquareClass(k, 1)
 
 
 def uniformizer(k: FieldDesc) -> SquareClass:
     if not isinstance(k, CDVField):
         raise UnsupportedFieldError("uniformizer class needs a valued layer")
-    return SquareClass(k, (one(k.residue), 1))
+    return SquareClass(k, 1 << height(k))
 
 
 def from_parts(k: CDVField, unit: SquareClass, vpar: int) -> SquareClass:
     if unit.field != k.residue:
         raise FieldMismatchError("unit part must live over the residue field")
-    return SquareClass(k, (unit, vpar & 1))
+    return SquareClass(k, unit.data | (vpar & 1) << height(k), unit.names)
 
 
 def lift(k: CDVField, residue_class: SquareClass) -> SquareClass:
@@ -266,40 +263,31 @@ def lift(k: CDVField, residue_class: SquareClass) -> SquareClass:
 def symbolic(k: GlobalFunctionField, *names: str) -> SquareClass:
     if not isinstance(k, GlobalFunctionField):
         raise UnsupportedFieldError("symbolic classes exist only over a global function field")
-    return SquareClass(k, frozenset(names))
+    return SquareClass(k, 0, frozenset(names))
 
 
 def sqcl_mul(k: FieldDesc, a: SquareClass, b: SquareClass) -> SquareClass:
     if a.field != k or b.field != k:
         raise FieldMismatchError(f"class product over {field_to_str(k)} got classes over "
                                  f"{field_to_str(a.field)} and {field_to_str(b.field)}")
-    if isinstance(k, FiniteField):
-        return SquareClass(k, a.data ^ b.data)
-    if isinstance(k, GlobalFunctionField):
-        return SquareClass(k, a.data ^ b.data)  # symmetric difference
-    (ua, va), (ub, vb) = a.data, b.data
-    return SquareClass(k, (sqcl_mul(k.residue, ua, ub), va ^ vb))
+    return SquareClass(k, a.data ^ b.data, a.names ^ b.names)
 
 
 def sqcl_group(k: FieldDesc) -> list:
-    """All square classes in canonical order: identity first, then by
-    (valuation parity, unit class) recursively."""
-    if isinstance(k, FiniteField):
-        return [SquareClass(k, 0), SquareClass(k, 1)]
-    if isinstance(k, GlobalFunctionField):
+    """All square classes in canonical order, the integer order of their
+    masks: identity first, then by (valuation parity, unit class)."""
+    if not is_finite_based(k):
         raise UnsupportedFieldError("square classes over a global function field "
                                     "are symbolic and cannot be enumerated")
-    inner = sqcl_group(k.residue)
-    return [SquareClass(k, (u, vp)) for vp in (0, 1) for u in inner]
+    return [SquareClass(k, m) for m in range(2 << height(k))]
 
 
 def minus_one(k: FieldDesc) -> SquareClass:
-    """The square class of -1."""
-    if isinstance(k, FiniteField):
-        return SquareClass(k, 0 if k.order % 4 == 1 else 1)
-    if isinstance(k, GlobalFunctionField):
-        return SquareClass(k, frozenset() if k.q % 4 == 1 else frozenset({"-1"}))
-    return SquareClass(k, (minus_one(k.residue), 0))
+    """The square class of -1, a unit of the base."""
+    base = base_field(k)
+    if isinstance(base, GlobalFunctionField):
+        return SquareClass(k, 0, frozenset() if base.q % 4 == 1 else frozenset({"-1"}))
+    return SquareClass(k, 0 if base.order % 4 == 1 else 1)
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -335,43 +323,30 @@ def class_of_rational(k: FieldDesc, x) -> SquareClass:
     x = Fraction(x)
     if x == 0:
         raise ValueError("zero has no square class")
-    if isinstance(k, FiniteField):
-        if k.e != 1:
-            raise UnsupportedFieldError("rational classes need a prime base field")
-        num = x.numerator % k.p
-        den = x.denominator % k.p
-        if num == 0 or den == 0:
-            raise ValueError(f"{x} is not a unit mod {k.p}")
-        r = num * pow(den, k.p - 2, k.p) % k.p
-        return SquareClass(k, 0 if pow(r, (k.p - 1) // 2, k.p) == 1 else 1)
-    if isinstance(k, GlobalFunctionField):
+    base = base_field(k)
+    if isinstance(base, GlobalFunctionField):
         raise UnsupportedFieldError("rational classes need a finite-based tower")
-    if isinstance(k.residue, FiniteField):
-        v, num, den = split_valuation(x, k.residue.p)
-        unit = class_of_rational(k.residue, Fraction(num, den))
-        return SquareClass(k, (unit, v & 1))
-    return SquareClass(k, (class_of_rational(k.residue, x), 0))
+    if base.e != 1:
+        raise UnsupportedFieldError("rational classes need a prime base field")
+    p = base.p
+    v, num, den = 0, x.numerator, x.denominator
+    if isinstance(k, CDVField):
+        v, num, den = split_valuation(x, p)
+    num, den = num % p, den % p
+    if num == 0 or den == 0:
+        raise ValueError(f"{x} is not a unit mod {p}")
+    r = num * pow(den, p - 2, p) % p
+    return SquareClass(k, (pow(r, (p - 1) // 2, p) != 1) | (v & 1) << 1)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 def class_to_str(a: SquareClass) -> str:
-    gens = _generator_names(a)
+    """Generators innermost first: symbolic names sorted, then u, pi, t, ..."""
+    gens = sorted(a.names) + [uniformizer_name(d) if d else "u"
+                              for d in range(a.data.bit_length()) if a.data >> d & 1]
     return "*".join(gens) if gens else "1"
-
-
-def _generator_names(a: SquareClass, depth_offset: int = 0) -> list:
-    k = a.field
-    if isinstance(k, FiniteField):
-        return ["u"] if a.data else []
-    if isinstance(k, GlobalFunctionField):
-        return sorted(a.data)
-    unit, vpar = a.data
-    names = _generator_names(unit)
-    if vpar:
-        names.append(uniformizer_name(height(k)))
-    return names
 
 
 _NAME_ALIASES = {"p": "pi", "nu": "u"}
@@ -394,36 +369,17 @@ def _parse_generator(k: FieldDesc, token: str) -> SquareClass:
     token = _NAME_ALIASES.get(token, token)
     if token == "-1":
         return minus_one(k)
-    # uniformizer of some layer?
-    h = height(k)
-    for depth in range(1, h + 1):
+    for depth in range(1, height(k) + 1):
         if token == uniformizer_name(depth):
-            return _lift_layer_uniformizer(k, depth)
-    if token == "u":
-        if is_finite_based(k):
-            return nonsquare_unit(k)
-        return _lift_symbol(k, "u")
+            return SquareClass(k, 1 << depth)
+    finite = is_finite_based(k)
+    if token == "u" and finite:
+        return SquareClass(k, 1)
     if re.fullmatch(r"-?\d+", token):
         return class_of_rational(k, int(token))
-    if not is_finite_based(k) and re.fullmatch(r"[A-Za-z]\w*", token):
-        return _lift_symbol(k, token)
+    if not finite and re.fullmatch(r"[A-Za-z]\w*", token):
+        return SquareClass(k, 0, frozenset({token}))
     raise ParseError(f"unknown square-class generator {token!r} over {field_to_str(k)}")
-
-
-def _lift_layer_uniformizer(k: FieldDesc, depth: int) -> SquareClass:
-    if not isinstance(k, CDVField):
-        raise ParseError("uniformizer generator outside a valued tower")
-    if height(k) == depth:
-        return uniformizer(k)
-    return lift(k, _lift_layer_uniformizer(k.residue, depth))
-
-
-def _lift_symbol(k: FieldDesc, name: str) -> SquareClass:
-    if isinstance(k, GlobalFunctionField):
-        return symbolic(k, name)
-    if isinstance(k, CDVField):
-        return lift(k, _lift_symbol(k.residue, name))
-    raise ParseError(f"symbolic generator {name!r} needs a global-function-field base")
 
 
 # ---------------------------------------------------------------------------
@@ -431,34 +387,29 @@ def _lift_symbol(k: FieldDesc, name: str) -> SquareClass:
 
 @dataclass(frozen=True)
 class TransitionMap:
-    """Group homomorphism between square-class groups of two towers.
+    """Group homomorphism from the square classes of source to those of
+    target, for the extension source(sqrt(lam)).
 
-    Kinds: "finite-ext" (everything dies), "unramified"
-    (payload: residue-level map, parity preserved) and "ramified"
-    (payload: the unit part of the extension class; parities fold into
-    the unit part because the old uniformizer becomes a square times
-    that unit)."""
+    With d the top bit of ``lam.data``, the extension is unramified above
+    depth d and ramified at depth d; for d = 0 it extends the finite base.
+    A class with bit d clear keeps its mask, and one with bit d set is
+    multiplied by lam, because the old depth-d uniformizer becomes lam's
+    unit part times a square (for d = 0: u becomes a square).  So lam
+    itself maps to 1.
+    """
 
     source: FieldDesc
     target: FieldDesc
-    kind: str
-    payload: object = None
+    lam: SquareClass
 
 
 def transport(m: TransitionMap, a: SquareClass) -> SquareClass:
     if a.field != m.source:
         raise FieldMismatchError("class does not live over the map's source field")
-    if m.kind == "finite-ext":
-        return one(m.target)
-    if m.kind == "unramified":
-        unit, vpar = a.data
-        return SquareClass(m.target, (transport(m.payload, unit), vpar))
-    if m.kind == "ramified":
-        unit, vpar = a.data
-        s: SquareClass = m.payload
-        new_unit = unit * s if vpar else unit
-        return SquareClass(m.target, (new_unit, 0))
-    raise EngineError(f"unknown transition kind {m.kind!r}")  # pragma: no cover
+    lam = m.lam
+    if a.data >> (lam.data.bit_length() - 1) & 1:
+        return SquareClass(m.target, a.data ^ lam.data, a.names ^ lam.names)
+    return SquareClass(m.target, a.data, a.names)
 
 
 def quadratic_extension(k: FieldDesc, lam: SquareClass):
@@ -467,21 +418,20 @@ def quadratic_extension(k: FieldDesc, lam: SquareClass):
     Over a finite base the result is the quadratic field extension and
     every class becomes a square.  Over a valued layer a unit class
     extends the residue field (parity preserved), while an odd-parity
-    class keeps the residue and replaces the uniformizer.
+    class keeps the residue and replaces the uniformizer; so the target
+    is k itself unless lam is the base nonsquare u, which extends the
+    base to F_{p^2e} under the same valued layers.
     """
     if lam.field != k:
         raise FieldMismatchError("extension class must live over the field")
     if lam.is_one:
         raise InvalidExtensionError("the trivial class defines no quadratic extension")
-    if isinstance(k, FiniteField):
-        target = FiniteField(k.p, 2 * k.e)
-        return target, TransitionMap(k, target, "finite-ext")
-    if isinstance(k, GlobalFunctionField):
+    if not lam.data:
         raise UnsupportedFieldError("no symbolic extension operator over a global function field")
-    unit, vpar = lam.data
-    if vpar == 0:
-        res_target, res_map = quadratic_extension(k.residue, unit)
-        target = CDVField(res_target)
-        return target, TransitionMap(k, target, "unramified", res_map)
-    # ramified: same residue, new uniformizer tau with tau^2 = unit * pi
-    return k, TransitionMap(k, k, "ramified", unit)
+    target = k
+    if lam.data == 1:
+        base = base_field(k)
+        target = FiniteField(base.p, 2 * base.e)
+        for _ in range(height(k)):
+            target = CDVField(target)
+    return target, TransitionMap(k, target, lam)

@@ -22,6 +22,7 @@ from .fields import (
     SquareClass,
     class_to_str,
     field_to_str,
+    height,
     is_finite_based,
     minus_one,
     one,
@@ -43,74 +44,67 @@ class QuadForm:
             if a.field != self.field:
                 raise FieldMismatchError("form entry over the wrong field")
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def scaled(self, c: SquareClass) -> "QuadForm":
-        return QuadForm(self.field, tuple(c * a for a in self.entries))
-
     def __str__(self) -> str:
         return "<" + ",".join(class_to_str(a) for a in self.entries) + ">"
 
 
+def _form_str(k: FieldDesc, masks: tuple) -> str:
+    return str(QuadForm(k, tuple(SquareClass(k, m) for m in masks)))
+
+
 def qf_is_isotropic(q: QuadForm) -> bool:
-    _require_finite_based(q.field)
-    return _isotropic_rec(q, None)
+    return _decide(q, None)
 
 
 def qf_isotropy_path(q: QuadForm):
     """Decide isotropy and log every residue split on the way down."""
-    _require_finite_based(q.field)
     path = []
-    return _isotropic_rec(q, path), path
+    return _decide(q, path), path
 
 
-def _require_finite_based(k: FieldDesc) -> None:
-    if not is_finite_based(k):
+def _decide(q: QuadForm, path: list | None) -> bool:
+    if not is_finite_based(q.field):
         raise UnsupportedFieldError("isotropy is undecidable over a "
                                     "global-function-field base")
+    return _isotropic_rec(q.field, tuple(a.data for a in q.entries), path)
 
 
-def _isotropic_rec(q: QuadForm, path: list | None) -> bool:
-    """Residue recursion; appends one entry per node to path unless it is
-    None, so plain decisions format no strings."""
-    k = q.field
-    if q.dim == 0:
+def _isotropic_rec(k: FieldDesc, masks: tuple, path: list | None) -> bool:
+    """Residue recursion on entry masks.  Over a height-h layer Springer's
+    split sends the entries with bit h clear to the unit part and those
+    with bit h set, that bit removed, to the twisted part; the form is
+    isotropic exactly when one of the two residue forms is.  Appends one
+    entry per node to path unless it is None, so plain decisions format
+    no strings."""
+    if not masks:
         if path is not None:
-            path.append({"field": field_to_str(k), "form": str(q),
+            path.append({"field": field_to_str(k), "form": _form_str(k, masks),
                          "isotropic": False, "reason": "empty form"})
         return False
     if isinstance(k, FiniteField):
-        return _finite_base_case(q, path)
-    unit_part, odd_part = _springer_split(q)
+        return _finite_base_case(k, masks, path)
+    bit = 1 << height(k)
+    units = tuple(m for m in masks if not m & bit)
+    odd = tuple(m ^ bit for m in masks if m & bit)
+    res = k.residue
     if path is not None:
-        path.append({"field": field_to_str(k), "form": str(q),
-                     "unit_part": str(unit_part), "twisted_part": str(odd_part)})
-    return _isotropic_rec(unit_part, path) or _isotropic_rec(odd_part, path)
+        path.append({"field": field_to_str(k), "form": _form_str(k, masks),
+                     "unit_part": _form_str(res, units),
+                     "twisted_part": _form_str(res, odd)})
+    return _isotropic_rec(res, units, path) or _isotropic_rec(res, odd, path)
 
 
-def _springer_split(q: QuadForm):
-    k: CDVField = q.field
-    units, odd = [], []
-    for a in q.entries:
-        unit, vpar = a.decompose()
-        (odd if vpar else units).append(unit)
-    return QuadForm(k.residue, tuple(units)), QuadForm(k.residue, tuple(odd))
-
-
-def _finite_base_case(q: QuadForm, path: list | None) -> bool:
-    k: FiniteField = q.field
-    if q.dim >= 3:
+def _finite_base_case(k: FiniteField, masks: tuple, path: list | None) -> bool:
+    if len(masks) >= 3:
         verdict, reason = True, "three or more variables over a finite field"
-    elif q.dim == 2:
-        a, b = q.entries
-        verdict = (minus_one(k) * a * b).is_one
+    elif len(masks) == 2:
+        a, b = masks
+        verdict = minus_one(k).data == a ^ b
         reason = "binary form, -ab square" if verdict else "binary form, -ab nonsquare"
     else:
         verdict, reason = False, "at most one variable"
     if path is not None:
-        path.append({"field": field_to_str(k), "form": str(q),
+        path.append({"field": field_to_str(k), "form": _form_str(k, masks),
                      "isotropic": verdict, "reason": reason})
     return verdict
 
@@ -159,9 +153,8 @@ def rational_lift(a: SquareClass) -> Fraction:
             and k.residue.e == 1):
         raise UnsupportedFieldError("rational lifts exist over the height-one tower only")
     p = k.residue.p
-    unit, vpar = a.data
-    value = Fraction(smallest_nonresidue(p) if unit.data else 1)
-    if vpar:
+    value = Fraction(smallest_nonresidue(p) if a.data & 1 else 1)
+    if a.data & 2:
         value *= p
     return value
 

@@ -551,6 +551,12 @@ def sequence_abc(n: int) -> ABCSequence:
     return ABCSequence(n, a, b, c)
 
 
+# bounds_tensor prints every induction step's exact coefficients, whose
+# numerators grow like 9**n: n = 1000 takes a fraction of a second, and
+# from about n = 4600 on the digits pass Python's int-to-str limit.
+MAX_TENSOR_FACTORS = 1000
+
+
 @dataclass(frozen=True)
 class TensorBounds:
     n: int
@@ -573,6 +579,9 @@ def bounds_tensor(n: int, u_k) -> TensorBounds:
     """
     if n < 1:
         raise ValueError("index must be >= 1")
+    if n > MAX_TENSOR_FACTORS:
+        raise ValueError(f"{n} quaternion factors are above the supported bound "
+                         f"{MAX_TENSOR_FACTORS}")
     u_k = Fraction(u_k)
     if u_k <= 0:
         raise ValueError("the base u-invariant must be positive")
@@ -591,8 +600,7 @@ def bounds_tensor(n: int, u_k) -> TensorBounds:
             "induction-step", "-", "-", "-", a,
             f"step {m}->{m + 1}: plus=min({left_p},{right_p}) takes left; "
             f"minus=min({left_m},{right_m}) takes right; zero=a/2+b={c}"))
-    seq = sequence_abc(n)
-    if (a, b, c) != (seq.a, seq.b, seq.c):
+    if (a, b, c) != _abc_closed(n):
         raise EngineError("induction chain drifted from the closed form")
 
     def product_node(kind_label, coeff):
@@ -607,10 +615,10 @@ def bounds_tensor(n: int, u_k) -> TensorBounds:
     root = Derivation(
         "tensor-bounds", "-", f"{n} quaternion factors", "-", None,
         "bounds for plus/minus/unitary kinds",
-        (product_node("plus", seq.a), product_node("minus", seq.b),
-         product_node("zero", seq.c)) + tuple(steps), "leaf")
-    minus_val = seq.b * u_k
-    return TensorBounds(n, u_k, seq.a * u_k, minus_val, seq.c * u_k,
+        (product_node("plus", a), product_node("minus", b),
+         product_node("zero", c)) + tuple(steps), "leaf")
+    minus_val = b * u_k
+    return TensorBounds(n, u_k, a * u_k, minus_val, c * u_k,
                         minus_val.numerator // minus_val.denominator, root)
 
 

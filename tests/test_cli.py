@@ -212,6 +212,7 @@ HUGE = "1000000000000000003"
     ("lab", "pid", "--p", "1000000000000000000"),
     ("isotropy", "quad", "--field", f"F{HUGE}", "--form", "1"),
     ("verify", "paper", "--q", HUGE, "--only", "gff"),
+    ("bounds", "tensor", "--n", "100000", "--uk", "8"),
 ])
 def test_huge_field_size_is_a_usage_error(capsys, argv):
     def timeout(signum, frame):

@@ -221,3 +221,157 @@ def test_field_sizes_above_the_bound_are_refused():
     with pytest.raises(ParseError, match="supported bound"):
         parse_field(f"CDV(F{MAX_FIELD_SIZE + 39})")
     assert FiniteField(1000003).p == 1000003
+
+
+# differential check against the nested calculus ------------------------------
+#
+# Reference: the (unit, parity) representation the bit masks replaced.  A
+# class over a finite base is 0 or 1, over a global-function-field base a
+# frozenset of names, and over a valued layer a pair (unit class of the
+# residue, valuation parity); every operation recurses down the tower.
+
+def _ref_one(k):
+    if isinstance(k, FiniteField):
+        return 0
+    if isinstance(k, GlobalFunctionField):
+        return frozenset()
+    return (_ref_one(k.residue), 0)
+
+
+def _ref_group(k):
+    if isinstance(k, FiniteField):
+        return [0, 1]
+    inner = _ref_group(k.residue)
+    return [(u, vp) for vp in (0, 1) for u in inner]
+
+
+def _ref_mul(k, a, b):
+    if not isinstance(k, CDVField):
+        return a ^ b
+    return (_ref_mul(k.residue, a[0], b[0]), a[1] ^ b[1])
+
+
+def _ref_minus_one(k):
+    if isinstance(k, FiniteField):
+        return 0 if k.order % 4 == 1 else 1
+    if isinstance(k, GlobalFunctionField):
+        return frozenset() if k.q % 4 == 1 else frozenset({"-1"})
+    return (_ref_minus_one(k.residue), 0)
+
+
+def _ref_uniformizer_name(depth):
+    return ("pi", "t", "s")[depth - 1] if depth <= 3 else f"s{depth - 2}"
+
+
+def _ref_names(k, a):
+    if isinstance(k, FiniteField):
+        return ["u"] if a else []
+    if isinstance(k, GlobalFunctionField):
+        return sorted(a)
+    names = _ref_names(k.residue, a[0])
+    if a[1]:
+        names.append(_ref_uniformizer_name(height(k)))
+    return names
+
+
+def _ref_str(k, a):
+    return "*".join(_ref_names(k, a)) or "1"
+
+
+def _ref_generator(k, name):
+    """A symbolic unit name or a uniformizer name, lifted to the top."""
+    if isinstance(k, GlobalFunctionField):
+        return frozenset({name})
+    if name == _ref_uniformizer_name(height(k)):
+        return (_ref_one(k.residue), 1)
+    return (_ref_generator(k.residue, name), 0)
+
+
+def _ref_extension(k, lam):
+    """(target, map); a map is ("finite-ext", None), ("unramified", the
+    residue map) or ("ramified", the unit part of lam)."""
+    if isinstance(k, FiniteField):
+        return FiniteField(k.p, 2 * k.e), ("finite-ext", None)
+    if isinstance(k, GlobalFunctionField):
+        raise UnsupportedFieldError("no symbolic extension")
+    unit, vpar = lam
+    if vpar == 0:
+        target, inner = _ref_extension(k.residue, unit)
+        return CDVField(target), ("unramified", inner)
+    return k, ("ramified", unit)
+
+
+def _ref_transport(k, m, a):
+    kind, payload = m
+    if kind == "finite-ext":
+        return 0
+    unit, vpar = a
+    if kind == "unramified":
+        return (_ref_transport(k.residue, payload, unit), vpar)
+    return (_ref_mul(k.residue, unit, payload) if vpar else unit, 0)
+
+
+def _tower(base, h):
+    for _ in range(h):
+        base = CDVField(base)
+    return base
+
+
+def _assert_calculus_agrees(k, pairs):
+    """pairs: (flat class, nested reference) over k.  Compares names,
+    products, decompose and -1 through the printed class."""
+    for c, r in pairs:
+        assert class_to_str(c) == _ref_str(k, r)
+        if isinstance(k, CDVField):
+            unit, vpar = c.decompose()
+            assert (class_to_str(unit), vpar) == (_ref_str(k.residue, r[0]), r[1])
+    for (a, ra), (b, rb) in product(pairs, repeat=2):
+        assert class_to_str(a * b) == _ref_str(k, _ref_mul(k, ra, rb))
+    assert class_to_str(minus_one(k)) == _ref_str(k, _ref_minus_one(k))
+
+
+def _assert_transport_agrees(k, lam, rlam, pairs):
+    target, m = quadratic_extension(k, lam)
+    rtarget, rm = _ref_extension(k, rlam)
+    assert target == rtarget
+    for c, r in pairs:
+        moved = transport(m, c)
+        assert moved.field == target
+        assert class_to_str(moved) == _ref_str(k, _ref_transport(k, rm, r))
+
+
+@pytest.mark.parametrize("base", [FiniteField(3), F5, FiniteField(3, 2)],
+                         ids=field_to_str)
+def test_flat_classes_match_nested_calculus(base):
+    for h in range(4):
+        k = _tower(base, h)
+        pairs = list(zip(sqcl_group(k), _ref_group(k)))
+        _assert_calculus_agrees(k, pairs)
+        for lam, rlam in pairs[1:]:
+            _assert_transport_agrees(k, lam, rlam, pairs)
+
+
+def test_flat_symbolic_classes_match_nested_calculus():
+    for q in (9, 27):
+        k = _tower(GlobalFunctionField(q), 2)
+        texts = ["1", "v", "w*pi", "u*v*t", "pi*t", "v*w*pi*t", "t"]
+        pairs = []
+        for text in texts:
+            r = _ref_one(k)
+            for name in text.split("*") if text != "1" else ():
+                r = _ref_mul(k, r, _ref_generator(k, name))
+            pairs.append((parse_class(k, text), r))
+        _assert_calculus_agrees(k, pairs)
+        # ramified at the top (t) and at depth 1 below an unramified layer (pi)
+        for lam, rlam in pairs[2:]:
+            _assert_transport_agrees(k, lam, rlam, pairs)
+        with pytest.raises(UnsupportedFieldError):
+            quadratic_extension(k, pairs[1][0])
+
+
+def test_group_order_is_integer_order_of_masks():
+    for h in range(5):
+        k = _tower(F5, h)
+        classes = sqcl_group(k)
+        assert [c.data for c in classes] == list(range(2 << h))
+        assert [class_to_str(c) for c in classes] == [_ref_str(k, r) for r in _ref_group(k)]

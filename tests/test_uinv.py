@@ -1,5 +1,6 @@
 """The u-invariant recursion, witnesses, bounds and descent."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from hermlab.fields import (
 from hermlab.hermitian import canonical_involution, u_search, unitary_involution
 from hermlab.quadform import u_quadratic
 from hermlab.uinv import (
+    MAX_TENSOR_FACTORS,
     bounds_ai,
     bounds_tensor,
     expected_table,
@@ -323,6 +325,21 @@ def test_tensor_bounds():
         (Fraction(5), Fraction(1), Fraction(7, 2))
     steps = [c for c in tb.derivation.children if c.rule == "induction-step"]
     assert len(steps) == 1 and "takes left" in steps[0].cite
+
+
+def test_tensor_factor_count_is_bounded():
+    def timeout(signum, frame):
+        raise TimeoutError("bounds_tensor(100000) did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="above the supported bound"):
+            bounds_tensor(100000, 8)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert bounds_tensor(MAX_TENSOR_FACTORS, 1).n == MAX_TENSOR_FACTORS
 
 
 def test_tensor_bound_beats_comparison():
