@@ -69,7 +69,6 @@ from .hermitian import (
     herm_is_isotropic,
     jacobson_quadratic,
     morita_reduce,
-    normalize_type,
     transfer_quadratic,
     u_search,
     unitary_involution,

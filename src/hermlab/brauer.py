@@ -62,12 +62,6 @@ class BrauerClass:
         return tuple((a, b) for a, b in self.symbols
                      if not a.is_one and not b.is_one)
 
-    def combined_with(self, other: "BrauerClass") -> "BrauerClass":
-        """Class product; with two-torsion this is also the difference."""
-        if other.field != self.field:
-            raise FieldMismatchError("cannot combine classes over different fields")
-        return BrauerClass(self.field, self.symbols + other.symbols)
-
     def __str__(self) -> str:
         if not self.symbols:
             return "1"

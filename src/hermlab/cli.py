@@ -175,13 +175,21 @@ _BASIS = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0),
           "ij": (0, 0, 0, 1), "k": (0, 0, 0, 1)}
 
 
+def _fraction(token: str, text: str, what: str) -> Fraction:
+    """The rational number in token, or a ParseError naming text."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"cannot parse {what} {text!r}") from None
+
+
 def parse_element(alg: LabAlgebra, text: str) -> QuaternionElt:
     s = text.strip().replace(" ", "")
     if "," in s:
         parts = s.split(",")
         if len(parts) != 4:
             raise ParseError("coordinate form needs four entries")
-        return QuaternionElt(alg, tuple(Fraction(x) for x in parts))
+        return QuaternionElt(alg, tuple(_fraction(x, text, "element") for x in parts))
     body = s
     for name in ("ij", "k", "i", "j"):
         if body.endswith(name):
@@ -191,16 +199,10 @@ def parse_element(alg: LabAlgebra, text: str) -> QuaternionElt:
             elif head == "-":
                 coeff = Fraction(-1)
             else:
-                try:
-                    coeff = Fraction(head)
-                except ValueError:
-                    raise ParseError(f"cannot parse element {text!r}") from None
+                coeff = _fraction(head, text, "element")
             base = _BASIS["ij" if name == "k" else name]
             return QuaternionElt(alg, tuple(coeff * x for x in base))
-    try:
-        return scalar(alg, Fraction(body))
-    except ValueError:
-        raise ParseError(f"cannot parse element {text!r}") from None
+    return scalar(alg, _fraction(body, text, "element"))
 
 
 def _parse_symbol(p: int, text) -> LabAlgebra:
@@ -212,8 +214,8 @@ def _parse_symbol(p: int, text) -> LabAlgebra:
     slots = s[1:-1].split(",")
     if len(slots) != 2:
         raise ParseError("a symbol has two slots")
-    a, b = slots
-    return LabAlgebra(Fraction(a), Fraction(b), p)
+    a, b = (_fraction(x, text, "symbol") for x in slots)
+    return LabAlgebra(a, b, p)
 
 
 def _sigma_for(alg: LabAlgebra, name: str):
@@ -332,7 +334,7 @@ def _run_bounds_ai(args) -> int:
 
 
 def _run_bounds_tensor(args) -> int:
-    result = bounds_tensor(args.n, Fraction(args.uk))
+    result = bounds_tensor(args.n, _fraction(args.uk, args.uk, "--uk"))
     payload = {"n": args.n, "uk": _fmt_fraction(result.u_base),
                "plus": _fmt_fraction(result.plus),
                "minus": _fmt_fraction(result.minus),

@@ -55,31 +55,17 @@ class InvolutionDesc:
             raise UnsupportedShapeError("only unitary involutions carry an extension class")
 
 
-def normalize_type(inv: InvolutionDesc, eps: int) -> UKind:
-    """Collapse (involution kind, sign) to the three u-invariant types."""
-    if eps not in (1, -1):
-        raise UnsupportedShapeError(f"sign must be +1 or -1, got {eps}")
-    if inv.kind == "unitary":
-        return UKind.ZERO
-    if inv.kind == "orthogonal":
-        return UKind.PLUS if eps == 1 else UKind.MINUS
-    return UKind.MINUS if eps == 1 else UKind.PLUS
-
-
-def morita_reduce(m: int, B: BrauerClass, ukind: UKind):
-    """u-invariants of the m-by-m matrix algebra equal those of the
-    underlying division algebra; return its class representative."""
-    if m < 1:
-        raise ValueError("matrix size must be >= 1")
+def morita_reduce(B: BrauerClass):
+    """(index, class) of the division algebra behind B; every matrix algebra
+    over it has its u-invariants.  The class has no symbol when B splits,
+    one for quaternion index, and B's two effective symbols otherwise."""
     kind = bc_is_division(B)
-    if kind == DivisionKind.SPLIT:
-        return BrauerClass(B.field, ()), ukind
-    if kind == DivisionKind.QUATERNION:
-        syms = B.effective_symbols
-        if len(syms) == 1:
-            return BrauerClass(B.field, syms), ukind
-        return BrauerClass(B.field, (bc_single_symbol_rep(B),)), ukind
-    return BrauerClass(B.field, B.effective_symbols), ukind
+    syms = B.effective_symbols
+    if kind is DivisionKind.SPLIT:
+        syms = ()
+    elif kind is DivisionKind.QUATERNION and len(syms) != 1:
+        syms = (bc_single_symbol_rep(B),)
+    return kind, BrauerClass(B.field, syms)
 
 
 @dataclass(frozen=True)
@@ -146,19 +132,18 @@ def transfer_quadratic(h: HermFormDesc) -> QuadForm:
     return QuadForm(k, tuple(pieces))
 
 
-def herm_is_isotropic(h: HermFormDesc) -> bool:
-    if h.rank == 0:
-        return False
+def reduced_quadratic(h: HermFormDesc) -> QuadForm:
+    """The quadratic form whose isotropy decides that of h."""
     shape = h.shape
     if shape == "a":
-        return qf_is_isotropic(jacobson_quadratic(h))
+        return jacobson_quadratic(h)
     if shape == "b":
-        return qf_is_isotropic(transfer_quadratic(h))
+        return transfer_quadratic(h)
     raise UnsupportedShapeError("no concrete decider for this form shape")
 
 
-def reduced_quadratic(h: HermFormDesc) -> QuadForm:
-    return jacobson_quadratic(h) if h.shape == "a" else transfer_quadratic(h)
+def herm_is_isotropic(h: HermFormDesc) -> bool:
+    return h.rank > 0 and qf_is_isotropic(reduced_quadratic(h))
 
 
 def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int, k: FieldDesc) -> int:

@@ -100,8 +100,6 @@ class QuaternionElt:
         return QuaternionElt(self.alg, tuple(-x for x in self.coords))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
         self._check(other)
         a, b = self.alg.a, self.alg.b
         x0, x1, x2, x3 = self.coords
@@ -113,11 +111,6 @@ class QuaternionElt:
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
         ))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
-        return NotImplemented
-
     def scale(self, c: Fraction):
         return QuaternionElt(self.alg, tuple(c * x for x in self.coords))
 
@@ -125,9 +118,6 @@ class QuaternionElt:
         """Canonical involution: negates the pure part."""
         x0, x1, x2, x3 = self.coords
         return QuaternionElt(self.alg, (x0, -x1, -x2, -x3))
-
-    def trd(self) -> Fraction:
-        return 2 * self.coords[0]
 
     def nrd(self) -> Fraction:
         a, b = self.alg.a, self.alg.b
@@ -139,18 +129,6 @@ class QuaternionElt:
         if n == 0:
             raise ZeroDivisionError("not invertible: reduced norm vanishes")
         return self.conj().scale(Fraction(1) / n)
-
-    def __pow__(self, m: int):
-        if m < 0:
-            return self.inverse() ** (-m)
-        result = scalar(self.alg, 1)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            base = base * base
-            m >>= 1
-        return result
 
     def is_integral(self) -> bool:
         return all(c.denominator % self.alg.p != 0 for c in self.coords)

@@ -85,12 +85,12 @@ from .quadform import QuadForm, qf_is_isotropic, u_quadratic
 _FINITE_BASE = {UKind.PLUS: 2, UKind.MINUS: 0, UKind.ZERO: 1}
 
 _GFF_BASE = {
-    ("field", UKind.PLUS): 4,
-    ("field", UKind.MINUS): 0,
-    ("field", UKind.ZERO): 2,
-    ("quaternion", UKind.PLUS): 3,
-    ("quaternion", UKind.MINUS): 1,
-    ("quaternion", UKind.ZERO): 2,
+    (DivisionKind.SPLIT, UKind.PLUS): 4,
+    (DivisionKind.SPLIT, UKind.MINUS): 0,
+    (DivisionKind.SPLIT, UKind.ZERO): 2,
+    (DivisionKind.QUATERNION, UKind.PLUS): 3,
+    (DivisionKind.QUATERNION, UKind.MINUS): 1,
+    (DivisionKind.QUATERNION, UKind.ZERO): 2,
 }
 
 _CITES = {
@@ -126,20 +126,6 @@ class WitnessNode:
     lam: str = None
     children: tuple = ()
     note: str = None
-
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        body = f"{pad}{self.op} rank {self.rank} over {self.field_label}"
-        if self.entries:
-            body += " <" + ",".join(self.entries) + ">"
-        if self.lam:
-            body += f" lam={self.lam}"
-        if self.note:
-            body += f" ({self.note})"
-        lines = [body]
-        for c in self.children:
-            lines.append(c.render(indent + 1))
-        return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
         out = {"op": self.op, "field": self.field_label, "rank": self.rank}
@@ -203,16 +189,16 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
 
 
 def _verify_flat(category, kind: UKind, lam, entries) -> bool:
-    cat, Bn = category
+    index, Bn = category
     k = Bn.field
     if kind is UKind.ZERO:
-        if cat != "field":
+        if index is not DivisionKind.SPLIT:
             return False
         h = HermFormDesc(trivial_class(k), unitary_involution(lam), 1, entries)
         return not herm_is_isotropic(h)
-    if cat == "field":
+    if index is DivisionKind.SPLIT:
         return not qf_is_isotropic(QuadForm(k, entries))
-    if cat == "quaternion" and kind is UKind.MINUS:
+    if index is DivisionKind.QUATERNION and kind is UKind.MINUS:
         h = HermFormDesc(Bn, canonical_involution(), 1, entries)
         return not herm_is_isotropic(h)
     return False
@@ -237,8 +223,9 @@ class _Step:
 
 
 def _walk(B: BrauerClass, kind: UKind, lam, assertions):
-    """The walk from the top class: its step, and the class's category and
-    normalized class, which `witness` reuses to re-verify flat entries."""
+    """The walk from the top class: its step, and the `_category` pair
+    (index, division class) of the top class, which `witness` reuses to
+    re-verify flat entries."""
     if kind is UKind.ZERO:
         if lam is None:
             raise InvalidExtensionError("unitary values need the extension class")
@@ -255,24 +242,24 @@ def _walk(B: BrauerClass, kind: UKind, lam, assertions):
 
 
 def _category(B: BrauerClass):
-    """('field'|'quaternion'|'biquaternion', normalized class)."""
+    """(index, division class) of B: `morita_reduce` over a finite-based
+    tower; over a global-function-field base, where division is asserted
+    rather than decided, B's effective symbols and their count."""
     syms = B.effective_symbols
     if len(syms) > 2:
         raise UnsupportedClassError(f"{len(syms)} symbols; at most two are supported")
     if is_finite_based(B.field):
-        Bn, _ = morita_reduce(1, B, UKind.PLUS)
-    else:
-        Bn = BrauerClass(B.field, syms)
-    return _gff_category(Bn), Bn
+        return morita_reduce(B)
+    return _gff_category(B), BrauerClass(B.field, syms)
 
 
-def _gff_category(B: BrauerClass) -> str:
-    """Category of a division class, or of one whose division is asserted:
-    the count of its nontrivial symbols."""
+def _gff_category(B: BrauerClass) -> DivisionKind:
+    """Index of a class whose division is asserted: the count of its
+    nontrivial symbols."""
     syms = B.effective_symbols
     if not syms:
-        return "field"
-    return "quaternion" if len(syms) == 1 else "biquaternion"
+        return DivisionKind.SPLIT
+    return DivisionKind.QUATERNION if len(syms) == 1 else DivisionKind.BIQUATERNION
 
 
 def _assert_leaf(field_label: str, class_label: str, assertions) -> Derivation:
@@ -284,35 +271,26 @@ def _assert_leaf(field_label: str, class_label: str, assertions) -> Derivation:
                 _CITES["assert:division"])
 
 
-def _gff_value(cat: str, kind: UKind) -> int:
-    try:
-        return _GFF_BASE[(cat, kind)]
-    except KeyError:
-        raise UnsupportedClassError(
-            "a biquaternion over a global-function-field base cannot be "
-            "division: six variables over a u=4 base always vanish") from None
-
-
-def _gff_leaf(field_label: str, cat: str, kind: UKind, class_label: str,
-              assertions, note: str = None) -> _Step:
+def _gff_leaf(field_label: str, index: DivisionKind, kind: UKind,
+              class_label: str, assertions, note: str = None) -> _Step:
     """Tabulated value over a global-function-field base; the witness is
     the tabulated rank."""
-    if cat == "field" and kind is UKind.MINUS:
+    if index is DivisionKind.SPLIT and kind is UKind.MINUS:
         d = leaf("base:field-minus", field_label, class_label, kind.value, 0,
                  _CITES["base:field-minus"])
     else:
-        value = _gff_value(cat, kind)
+        if index is DivisionKind.BIQUATERNION:
+            raise UnsupportedClassError(
+                "a biquaternion over a global-function-field base cannot be "
+                "division: six variables over a u=4 base always vanish")
+        value = _GFF_BASE[(index, kind)]
         children = ()
-        if cat != "field":
+        if index is not DivisionKind.SPLIT:
             children = (_assert_leaf(field_label, class_label, assertions),)
         d = Derivation("base:gff", field_label, class_label, kind.value, value,
                        _CITES["base:gff"], children, "leaf", note)
     return _Step(d, WitnessNode("axiom", field_label, d.value,
                                 note="tabulated base value"))
-
-
-def _gff_ext_label(k: GlobalFunctionField, chi: SquareClass) -> str:
-    return f"GFF({k.q})[sqrt({class_to_str(chi)})]"
 
 
 def _entry_labels(entries) -> tuple:
@@ -341,9 +319,9 @@ def _double(rule: str, k: CDVField, class_label: str, kind: UKind,
 def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
          first: _Step, second: _Step, node_note: str, pre: tuple = (),
          note: str = None) -> _Step:
-    """Sum of a part over the residue field and a parameter-twisted part;
-    when the twisted part is empty, the first part's entries lift to a
-    flat witness."""
+    """Sum of two parts from the residue layer; when the second is empty,
+    the first part's entries lift to a flat witness.  Only a
+    parameter-twisted second part can be empty: unitary values are >= 1."""
     fl = field_to_str(k)
     value = first.value + second.value
     flat = None
@@ -360,9 +338,9 @@ def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
 def _first_kind(B: BrauerClass, kind: UKind, assertions,
                 category=None) -> _Step:
     k = B.field
-    cat, Bn = category or _category(B)
+    index, Bn = category or _category(B)
     fl, cl = field_to_str(k), str(Bn)
-    if cat == "field" and kind is UKind.MINUS:
+    if index is DivisionKind.SPLIT and kind is UKind.MINUS:
         return _Step(leaf("base:field-minus", fl, cl, kind.value, 0,
                           _CITES["base:field-minus"]),
                      WitnessNode("empty", fl, 0), ())
@@ -374,9 +352,9 @@ def _first_kind(B: BrauerClass, kind: UKind, assertions,
                      WitnessNode("quad", fl, len(entries), _entry_labels(entries)),
                      entries, not qf_is_isotropic(QuadForm(k, entries)))
     if isinstance(k, GlobalFunctionField):
-        return _gff_leaf(fl, cat, kind, cl, assertions)
+        return _gff_leaf(fl, index, kind, cl, assertions)
 
-    if cat == "field":
+    if index is DivisionKind.SPLIT:
         return _double("unramified-double", k, cl, kind,
                        _first_kind(trivial_class(k.residue), kind, assertions))
     ram = bc_ramification(Bn)
@@ -385,19 +363,23 @@ def _first_kind(B: BrauerClass, kind: UKind, assertions,
                        _first_kind(ram.residue_class, kind, assertions))
     return _sum("ramified-sum", k, cl, kind,
                 _unitary(ram.residue_class, ram.character, assertions, morita=True),
-                _ext_first_kind(k.residue, ram.residue_class, ram.character,
+                _over_extension(k.residue, ram.residue_class, ram.character,
                                 kind, assertions),
                 "unit part; parameter-twisted part over the extension")
 
 
-def _ext_first_kind(res: FieldDesc, R0: BrauerClass, chi: SquareClass,
-                    kind: UKind, assertions) -> _Step:
-    """First-kind value of the residue class over the character extension."""
+def _over_extension(res: FieldDesc, R0: BrauerClass, c: SquareClass,
+                    kind: UKind, assertions, lam: SquareClass = None) -> _Step:
+    """Value of the residue class R0 over res(sqrt(c)): of the first kind,
+    or, for the unitary kind, with the extension class lam carried over."""
     if isinstance(res, GlobalFunctionField):
-        return _gff_leaf(_gff_ext_label(res, chi), _gff_category(R0), kind,
-                         str(R0), assertions)
-    ext, ext_map = quadratic_extension(res, chi)
-    return _first_kind(bc_base_change(R0, ext_map), kind, assertions)
+        return _gff_leaf(f"GFF({res.q})[sqrt({class_to_str(c)})]",
+                         _gff_category(R0), kind, str(R0), assertions)
+    _, ext_map = quadratic_extension(res, c)
+    R = bc_base_change(R0, ext_map)
+    if kind is UKind.ZERO:
+        return _unitary(R, transport(ext_map, lam), assertions, morita=True)
+    return _first_kind(R, kind, assertions)
 
 
 def _unitary(B: BrauerClass, lam: SquareClass, assertions,
@@ -411,13 +393,12 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     k = B.field
     if lam.is_one:
         raise InvalidExtensionError("the trivial class defines no quadratic extension")
-    cat, Bn = category or _category(B)
+    index, Bn = category or _category(B)
     morita_note = None
-    if (morita and cat != "field" and isinstance(k, CDVField)
-            and is_finite_based(k)):
+    if morita and index is not DivisionKind.SPLIT and is_finite_based(k):
         ext, ext_map = quadratic_extension(k, lam)
-        if bc_is_division(bc_base_change(Bn, ext_map)) == DivisionKind.SPLIT:
-            cat, Bn = "field", trivial_class(k)
+        if bc_is_division(bc_base_change(Bn, ext_map)) is DivisionKind.SPLIT:
+            index, Bn = DivisionKind.SPLIT, trivial_class(k)
             morita_note = "splits over the extension; reduced to the center"
     fl, cl = field_to_str(k), str(Bn)
     ext_note = f"extension by {class_to_str(lam)}"
@@ -431,11 +412,11 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
                                  lam=class_to_str(lam)),
                      entries, not herm_is_isotropic(h))
     if isinstance(k, GlobalFunctionField):
-        return _gff_leaf(fl, cat, UKind.ZERO, cl, assertions, ext_note)
+        return _gff_leaf(fl, index, UKind.ZERO, cl, assertions, ext_note)
 
     assume = not is_finite_based(k)
     assert_children = ()
-    if assume and cat != "field":
+    if assume and index is not DivisionKind.SPLIT:
         assert_children = (_assert_leaf(fl, cl, assertions),)
     case = classify_unitary_case(Bn, lam, assume_division=assume)
     case_note = f"{case.case}; {ext_note}"
@@ -449,18 +430,11 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
                        assert_children, case_note)
 
     if case.case is UnitaryCase.CASE2:
-        kids = _case2_children(k.residue, case.residue_unramified,
-                               case.character, case.lam_residue, assertions)
-        value = sum(c.value for c in kids)
-        return _Step(
-            Derivation("unitary-two-fixed-fields", fl, cl, UKind.ZERO.value,
-                       value, _CITES["unitary-two-fixed-fields"],
-                       assert_children + tuple(c.derivation for c in kids),
-                       "sum", note=case_note),
-            WitnessNode("pair", fl, sum(c.node.rank for c in kids),
-                        children=tuple(c.node for c in kids),
-                        note="parts over the two fixed fields"),
-            None, all(c.ok for c in kids))
+        first, second = (_over_extension(k.residue, case.residue_unramified, c,
+                                         UKind.ZERO, assertions, case.lam_residue)
+                         for c in (case.character, case.character * case.lam_residue))
+        return _sum("unitary-two-fixed-fields", k, cl, UKind.ZERO, first, second,
+                    "parts over the two fixed fields", assert_children, case_note)
 
     # ramified extension: the extended class is unramified, its residue
     # contributes a plus and a minus value
@@ -472,24 +446,13 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
                 assert_children, case_note)
 
 
-def _case2_children(res: FieldDesc, R0: BrauerClass, chi: SquareClass,
-                    s: SquareClass, assertions) -> tuple:
-    """Unitary values over the two relevant fixed fields of the residue."""
-    if isinstance(res, GlobalFunctionField):
-        cat = _gff_category(R0)
-        return tuple(_gff_leaf(_gff_ext_label(res, cls), cat, UKind.ZERO,
-                               str(R0), assertions)
-                     for cls in (chi, chi * s))
-    kids = []
-    for cls in (chi, chi * s):
-        ext, ext_map = quadratic_extension(res, cls)
-        kids.append(_unitary(bc_base_change(R0, ext_map),
-                             transport(ext_map, s), assertions, morita=True))
-    return tuple(kids)
-
-
 # ---------------------------------------------------------------------------
 # bound formulas
+
+# bounds_ai's values carry 2**(i-1): at level 1000 that has 301 digits, and
+# from about level 14300 on the digits pass Python's int-to-str limit.
+MAX_BOUND_LEVEL = 1000
+
 
 def bounds_ai(i: int, d: int, kind: str = "first"):
     """Degree bounds over a base with the odd-extension zero property for
@@ -500,6 +463,8 @@ def bounds_ai(i: int, d: int, kind: str = "first"):
     """
     if i < 1:
         raise ValueError("level must be >= 1")
+    if i > MAX_BOUND_LEVEL:
+        raise ValueError(f"level {i} is above the supported bound {MAX_BOUND_LEVEL}")
     if d < 1:
         raise ValueError("degree must be >= 1")
     half = Fraction(2) ** (i - 1)
@@ -637,10 +602,6 @@ class DescentResult:
     values: object
     derivations: tuple
 
-    def __iter__(self):
-        yield self.values
-        yield self.derivations
-
 
 def semi_global_combine(shape: str, upper, lower) -> DescentResult:
     """Exact value from a matching upper bound and completion value.
@@ -775,9 +736,8 @@ def expected_table(p: int = 5, q: int = 9):
                    "residue recursion"),
 
         TableEntry("gff", "global-function-field quaternion table", (3, 1, 2),
-                   lambda: (_GFF_BASE[("quaternion", UKind.PLUS)],
-                            _GFF_BASE[("quaternion", UKind.MINUS)],
-                            _GFF_BASE[("quaternion", UKind.ZERO)]),
+                   lambda: tuple(_GFF_BASE[(DivisionKind.QUATERNION, kind)]
+                                 for kind in UKind),
                    "axiom table"),
         TableEntry("gff", "biquaternion plus over the completion", (5, (2, 3)),
                    lambda: _with_children(u_exact(Bg, UKind.PLUS,

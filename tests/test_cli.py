@@ -213,6 +213,7 @@ HUGE = "1000000000000000003"
     ("isotropy", "quad", "--field", f"F{HUGE}", "--form", "1"),
     ("verify", "paper", "--q", HUGE, "--only", "gff"),
     ("bounds", "tensor", "--n", "100000", "--uk", "8"),
+    ("bounds", "ai", "--i", "20000"),
 ])
 def test_huge_field_size_is_a_usage_error(capsys, argv):
     def timeout(signum, frame):
@@ -240,6 +241,20 @@ def test_parse_element_grammar():
         parse_element(alg, "1,2,3")
     with pytest.raises(ParseError):
         parse_element(alg, "zebra")
+    for text in ("1/0", "1/0j", "1,2,3,1/0"):
+        with pytest.raises(ParseError):
+            parse_element(alg, text)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lab", "pid", "--p", "5", "--symbol", "(1/0,5)"),
+    ("lab", "pid", "--p", "5", "--t", "1/0"),
+    ("lab", "larmour", "--p", "5", "--form", "1/0"),
+    ("bounds", "tensor", "--n", "2", "--uk", "1/0"),
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "usage error" in err
 
 
 def test_verify_subset(capsys):

@@ -4,18 +4,24 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from hermlab.brauer import parse_brauer, trivial_class
+from hermlab.brauer import (
+    BrauerClass,
+    DivisionKind,
+    bc_is_division,
+    bc_single_symbol_rep,
+    parse_brauer,
+    trivial_class,
+)
 from hermlab.errors import InvalidExtensionError, UnsupportedShapeError
 from hermlab.fields import CDVField, FiniteField, parse_class, sqcl_group
 from hermlab.hermitian import (
     HermFormDesc,
     InvolutionDesc,
-    UKind,
     canonical_involution,
     herm_is_isotropic,
     jacobson_quadratic,
     morita_reduce,
-    normalize_type,
+    reduced_quadratic,
     transfer_quadratic,
     u_search,
     unitary_involution,
@@ -31,22 +37,6 @@ def pc(k, s):
     return parse_class(k, s)
 
 
-@pytest.mark.parametrize("kind,eps,expected", [
-    ("orthogonal", 1, UKind.PLUS),
-    ("symplectic", -1, UKind.PLUS),
-    ("orthogonal", -1, UKind.MINUS),
-    ("symplectic", 1, UKind.MINUS),
-])
-def test_first_kind_type_table(kind, eps, expected):
-    assert normalize_type(InvolutionDesc(kind), eps) == expected
-
-
-def test_unitary_type_ignores_sign():
-    inv = unitary_involution(pc(K1, "u"))
-    assert normalize_type(inv, 1) == UKind.ZERO
-    assert normalize_type(inv, -1) == UKind.ZERO
-
-
 def test_unitary_involution_needs_nontrivial_class():
     with pytest.raises(InvalidExtensionError):
         unitary_involution(pc(K1, "1"))
@@ -56,12 +46,17 @@ def test_unitary_involution_needs_nontrivial_class():
 
 def test_morita_reduction():
     split = parse_brauer(K1, "(1,pi)")
-    reduced, kind = morita_reduce(2, split, UKind.PLUS)
-    assert not reduced.symbols and kind == UKind.PLUS
+    assert morita_reduce(split) == (DivisionKind.SPLIT, trivial_class(K1))
     B = parse_brauer(K1, "(u,pi)")
-    assert morita_reduce(1, B, UKind.MINUS)[0] == B
+    assert morita_reduce(B) == (DivisionKind.QUATERNION, B)
     padded = parse_brauer(K1, "(u,pi);(1,1)")
-    assert morita_reduce(3, padded, UKind.ZERO)[0].symbols == B.symbols
+    assert morita_reduce(padded)[1].symbols == B.symbols
+    two = parse_brauer(K1, "(u,pi);(u,u)")
+    assert morita_reduce(two) == (DivisionKind.QUATERNION,
+                                  BrauerClass(K1, (bc_single_symbol_rep(two),)))
+    for C in (split, B, padded, two, parse_brauer(K2, "(u,t);(p,u*t)")):
+        index, reduced = morita_reduce(C)
+        assert index == bc_is_division(C) == bc_is_division(reduced)
 
 
 def test_trace_reduction_examples():
@@ -103,6 +98,9 @@ def test_unsupported_shapes_refused():
                                  1, (pc(K1, "1"),))
     with pytest.raises(UnsupportedShapeError):
         herm_is_isotropic(split_shape_a)
+    for h in (skew, split_shape_a):
+        with pytest.raises(UnsupportedShapeError, match="no concrete decider"):
+            reduced_quadratic(h)
     with pytest.raises(UnsupportedShapeError):
         u_search(B, canonical_involution(), -1, K1)
 

@@ -24,6 +24,7 @@ from hermlab.fields import (
 from hermlab.hermitian import canonical_involution, u_search, unitary_involution
 from hermlab.quadform import u_quadratic
 from hermlab.uinv import (
+    MAX_BOUND_LEVEL,
     MAX_TENSOR_FACTORS,
     bounds_ai,
     bounds_tensor,
@@ -340,6 +341,12 @@ def test_tensor_factor_count_is_bounded():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert bounds_tensor(MAX_TENSOR_FACTORS, 1).n == MAX_TENSOR_FACTORS
+
+
+def test_bound_level_is_bounded():
+    with pytest.raises(ValueError, match="above the supported bound"):
+        bounds_ai(MAX_BOUND_LEVEL + 1, 2)
+    assert bounds_ai(MAX_BOUND_LEVEL, 2, "second") == Fraction(2) ** (MAX_BOUND_LEVEL - 1)
 
 
 def test_tensor_bound_beats_comparison():
