@@ -21,7 +21,6 @@ from .errors import (
     EngineError,
     FieldMismatchError,
     InvalidExtensionError,
-    NeedsAssertionError,
     NotDivisionError,
     UnsupportedClassError,
     UnsupportedFieldError,
@@ -163,21 +162,17 @@ def bc_is_division(B: BrauerClass) -> DivisionKind:
 
 
 def bc_single_symbol_rep(B: BrauerClass):
-    """A symbol (a, b) equivalent to a quaternion-index class.
+    """A symbol (a, b) equivalent to a class of index at most two over a
+    valued layer: the first pair in ``sqcl_group`` order, a outer and b
+    inner, for which B + (a, b) is trivial.  For a split class that is the
+    pair of trivial classes.  Derivations and witnesses print it, so that
+    choice is part of the contract.
 
-    The result is the first pair in ``sqcl_group`` order, a outer and b
-    inner, for which B + (a, b) is trivial.  Derivations and witnesses print
-    it, so that choice is part of the contract.  The search ramifies B once:
-    with a = s*pi^i and b = t*pi^j the pair adds s^j * t^i * (-1)^(ij) to
-    B's character and (s, t) to its residue class, so only pairs that clear
-    the character reach the residue test.
+    The search ramifies B once: with a = s*pi^i and b = t*pi^j the pair
+    adds s^j * t^i * (-1)^(ij) to B's character and (s, t) to its residue
+    class, so only pairs that clear the character reach the residue test.
+    It finds no pair exactly when B has biquaternion index.
     """
-    if bc_is_division(B) != DivisionKind.QUATERNION:
-        raise UnsupportedClassError("single-symbol representatives exist for "
-                                    "quaternion-index classes only")
-    syms = B.effective_symbols
-    if len(syms) == 1:
-        return syms[0]
     k = B.field
     ram = bc_ramification(B)
     res = k.residue
@@ -200,7 +195,8 @@ def bc_single_symbol_rep(B: BrauerClass):
                 extra = ((s, t),) if not s.is_one and not t.is_one else ()
                 if bc_is_trivial(BrauerClass(res, base + extra)):
                     return (a, from_parts(k, t, j))
-    raise EngineError("no symbol representative found for a quaternion class")
+    raise UnsupportedClassError("single-symbol representatives exist for "
+                                "classes of index at most two only")
 
 
 def bc_base_change(B: BrauerClass, m: TransitionMap) -> BrauerClass:
@@ -225,20 +221,26 @@ class UnitaryCase(Enum):
 
 @dataclass(frozen=True)
 class UnitaryCaseResult:
+    """The case, B's character over the base, the unramified residue class
+    the case recurses on, and the unit part of the extension class.  In
+    cases 1 and 2 that residue class is B's own; in case 3 it is the
+    residue class of B over the ramified extension."""
+
     case: UnitaryCase
-    extended_class: object       # class over the extension, None over GFF residues
-    character: SquareClass       # character of the class over the base
-    residue_unramified: BrauerClass  # unramified residue part over the residue field
-    lam_residue: SquareClass     # unit part of the extension class
+    character: SquareClass
+    residue_unramified: BrauerClass
+    lam_residue: SquareClass
 
 
-def classify_unitary_case(B: BrauerClass, lam: SquareClass,
-                          assume_division: bool = False) -> UnitaryCaseResult:
-    """Sort the unitary setup over a valued layer into its three cases and
-    verify the division precondition on the extended algebra.
+def classify_unitary_case(B: BrauerClass, lam: SquareClass) -> UnitaryCaseResult:
+    """Sort the unitary setup over a valued layer into its three cases.
 
-    A ramified extension never leaves a ramified algebra behind: that
-    combination is checked to be absent rather than assumed.
+    Whether B stays division over the extension is `bc_extended_index`'s
+    question, not this one's.  A ramified extension never leaves a
+    ramified algebra behind: that combination is checked to be absent
+    rather than assumed.  A ramified extension reuses the residue field, so
+    its base change is computable even when the residue classes are
+    symbolic.
     """
     k = B.field
     if not isinstance(k, CDVField):
@@ -250,44 +252,41 @@ def classify_unitary_case(B: BrauerClass, lam: SquareClass,
 
     ram = bc_ramification(B)
     lam_unit, lam_vpar = lam.decompose()
-    finite = is_finite_based(k)
-
-    # A ramified extension reuses the residue field, so its base change is
-    # computable even when the residue classes are symbolic.
-    B_K = None
-    if finite or lam_vpar:
-        _, ext_map = quadratic_extension(k, lam)
-        B_K = bc_base_change(B, ext_map)
-    if finite:
-        _check_division_matches(B, B_K)
-    elif not assume_division:
-        raise NeedsAssertionError("division of the extended algebra over a "
-                                  "global-function-field residue must be asserted")
-
     if lam_vpar:
-        case = UnitaryCase.CASE3
-        if not bc_ramification(B_K).character.is_one:
+        _, ext_map = quadratic_extension(k, lam)
+        ext_ram = bc_ramification(bc_base_change(B, ext_map))
+        if not ext_ram.character.is_one:
             raise EngineError("a ramified extension left the algebra ramified")
-    else:
-        extended_ramified = not (ram.character.is_one or ram.character == lam_unit)
-        case = UnitaryCase.CASE2 if extended_ramified else UnitaryCase.CASE1
+        return UnitaryCaseResult(UnitaryCase.CASE3, ram.character,
+                                 ext_ram.residue_class, lam_unit)
+    extended_ramified = not (ram.character.is_one or ram.character == lam_unit)
+    case = UnitaryCase.CASE2 if extended_ramified else UnitaryCase.CASE1
+    return UnitaryCaseResult(case, ram.character, ram.residue_class, lam_unit)
 
-    return UnitaryCaseResult(case, B_K, ram.character, ram.residue_class, lam_unit)
 
+def bc_extended_index(B: BrauerClass, lam: SquareClass, index: DivisionKind,
+                      morita: bool) -> DivisionKind:
+    """Index of B over k(sqrt(lam)), given B's own index.
 
-def _check_division_matches(B: BrauerClass, B_K: BrauerClass) -> None:
-    """The extended algebra must keep the index of the original class."""
-    before = bc_is_division(B)
+    The algebra must stay division there; with morita set, a class that
+    splits over the extension may also reduce to its center.  Any other
+    change of index raises `NotDivisionError` with the isotropic norm or
+    Albert form of the extended class as its witness.  A split class needs
+    no test: the extension itself is the algebra.
+    """
+    if index is DivisionKind.SPLIT:
+        return index
+    _, ext_map = quadratic_extension(B.field, lam)
+    B_K = bc_base_change(B, ext_map)
     after = bc_is_division(B_K)
-    if before == DivisionKind.SPLIT:
-        return  # field case: the extension itself is the algebra
-    if after != before:
-        witness = None
-        syms = B_K.symbols
-        if len(syms) == 1:
-            witness = norm_form(syms[0][0], syms[0][1], B_K.field)
-        elif len(syms) == 2:
-            witness = albert_form(syms[0], syms[1], B_K.field)
-        raise NotDivisionError(
-            f"the algebra does not stay division over the extension "
-            f"({before.value} became {after.value})", witness)
+    if after is index or (morita and after is DivisionKind.SPLIT):
+        return after
+    witness = None
+    syms = B_K.symbols
+    if len(syms) == 1:
+        witness = norm_form(syms[0][0], syms[0][1], B_K.field)
+    elif len(syms) == 2:
+        witness = albert_form(syms[0], syms[1], B_K.field)
+    raise NotDivisionError(
+        f"the algebra does not stay division over the extension "
+        f"({index.value} became {after.value})", witness)

@@ -37,14 +37,14 @@ class UKind(str, Enum):
 
 @dataclass(frozen=True)
 class InvolutionDesc:
-    """kind is "orthogonal", "symplectic" or "unitary"; unitary carries the
-    class lam defining the fixed quadratic extension."""
+    """kind is "symplectic" or "unitary"; unitary carries the class lam
+    defining the fixed quadratic extension."""
 
     kind: str
     lam: SquareClass = None
 
     def __post_init__(self):
-        if self.kind not in ("orthogonal", "symplectic", "unitary"):
+        if self.kind not in ("symplectic", "unitary"):
             raise UnsupportedShapeError(f"unknown involution kind {self.kind!r}")
         if self.kind == "unitary":
             if self.lam is None:
@@ -98,9 +98,7 @@ class HermFormDesc:
         if (self.involution.kind == "symplectic" and self.eps == 1
                 and bc_is_division(self.algebra) == DivisionKind.QUATERNION):
             return "a"
-        if (self.involution.kind == "unitary"
-                and bc_is_division(self.algebra) == DivisionKind.SPLIT
-                and not self.algebra.effective_symbols):
+        if self.involution.kind == "unitary" and not self.algebra.effective_symbols:
             return "b"
         return "unsupported"
 

@@ -52,8 +52,10 @@ class LabAlgebra:
     p: int
 
     def __post_init__(self):
-        if self.p == 2:
-            raise ValueError("odd primes only")
+        FiniteField(self.p)  # an odd prime within the size bound, so vp ends
+        if self.a == 0 or vp(self.a, self.p) != 0:
+            raise ValueError(f"slot a = {self.a} of the symbol is not a "
+                             f"{self.p}-adic unit")
 
     def tower(self) -> CDVField:
         return CDVField(FiniteField(self.p))

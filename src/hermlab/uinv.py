@@ -32,7 +32,7 @@ from .brauer import (
     DivisionKind,
     UnitaryCase,
     bc_base_change,
-    bc_is_division,
+    bc_extended_index,
     bc_ramification,
     classify_unitary_case,
     parse_brauer,
@@ -245,18 +245,18 @@ def _category(B: BrauerClass):
     """(index, division class) of B: `morita_reduce` over a finite-based
     tower; over a global-function-field base, where division is asserted
     rather than decided, B's effective symbols and their count."""
-    syms = B.effective_symbols
-    if len(syms) > 2:
-        raise UnsupportedClassError(f"{len(syms)} symbols; at most two are supported")
     if is_finite_based(B.field):
         return morita_reduce(B)
-    return _gff_category(B), BrauerClass(B.field, syms)
+    return _gff_category(B), BrauerClass(B.field, B.effective_symbols)
 
 
 def _gff_category(B: BrauerClass) -> DivisionKind:
     """Index of a class whose division is asserted: the count of its
-    nontrivial symbols."""
+    nontrivial symbols, of which there are at most two."""
     syms = B.effective_symbols
+    if len(syms) > 2:
+        raise UnsupportedClassError(f"{len(syms)} symbols; only classes with at "
+                                    "most two are supported")
     if not syms:
         return DivisionKind.SPLIT
     return DivisionKind.QUATERNION if len(syms) == 1 else DivisionKind.BIQUATERNION
@@ -394,12 +394,10 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     if lam.is_one:
         raise InvalidExtensionError("the trivial class defines no quadratic extension")
     index, Bn = category or _category(B)
-    morita_note = None
-    if morita and index is not DivisionKind.SPLIT and is_finite_based(k):
-        ext, ext_map = quadratic_extension(k, lam)
-        if bc_is_division(bc_base_change(Bn, ext_map)) is DivisionKind.SPLIT:
-            index, Bn = DivisionKind.SPLIT, trivial_class(k)
-            morita_note = "splits over the extension; reduced to the center"
+    reduced_note = ""
+    if is_finite_based(k) and bc_extended_index(Bn, lam, index, morita) is not index:
+        Bn = trivial_class(k)
+        reduced_note = "; splits over the extension; reduced to the center"
     fl, cl = field_to_str(k), str(Bn)
     ext_note = f"extension by {class_to_str(lam)}"
     if isinstance(k, FiniteField):
@@ -414,23 +412,20 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     if isinstance(k, GlobalFunctionField):
         return _gff_leaf(fl, index, UKind.ZERO, cl, assertions, ext_note)
 
-    assume = not is_finite_based(k)
     assert_children = ()
-    if assume and index is not DivisionKind.SPLIT:
+    if not is_finite_based(k) and index is not DivisionKind.SPLIT:
         assert_children = (_assert_leaf(fl, cl, assertions),)
-    case = classify_unitary_case(Bn, lam, assume_division=assume)
-    case_note = f"{case.case}; {ext_note}"
-    if morita_note:
-        case_note += f"; {morita_note}"
+    case = classify_unitary_case(Bn, lam)
+    case_note = f"{case.case}; {ext_note}{reduced_note}"
+    res_class = case.residue_unramified
 
     if case.case is UnitaryCase.CASE1:
         return _double("unitary-unramified-double", k, cl, UKind.ZERO,
-                       _unitary(case.residue_unramified, case.lam_residue,
-                                assertions, morita=True),
+                       _unitary(res_class, case.lam_residue, assertions, morita=True),
                        assert_children, case_note)
 
     if case.case is UnitaryCase.CASE2:
-        first, second = (_over_extension(k.residue, case.residue_unramified, c,
+        first, second = (_over_extension(k.residue, res_class, c,
                                          UKind.ZERO, assertions, case.lam_residue)
                          for c in (case.character, case.character * case.lam_residue))
         return _sum("unitary-two-fixed-fields", k, cl, UKind.ZERO, first, second,
@@ -438,7 +433,6 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
 
     # ramified extension: the extended class is unramified, its residue
     # contributes a plus and a minus value
-    res_class = bc_ramification(case.extended_class).residue_class
     return _sum("unitary-ramified-base", k, cl, UKind.ZERO,
                 _first_kind(res_class, UKind.PLUS, assertions),
                 _first_kind(res_class, UKind.MINUS, assertions),

@@ -9,6 +9,7 @@ from hermlab.brauer import (
     DivisionKind,
     UnitaryCase,
     bc_base_change,
+    bc_extended_index,
     bc_is_division,
     bc_is_trivial,
     bc_ramification,
@@ -36,6 +37,7 @@ from hermlab.fields import (
     sqcl_group,
 )
 from hermlab.quadform import norm_form, qf_is_isotropic
+from hermlab.uinv import u_exact
 
 F5 = FiniteField(5)
 K1 = CDVField(F5)
@@ -129,15 +131,23 @@ def _first_trivialising_pair(B):
     return None
 
 
-def _quaternion_two_symbol_classes(k, stride):
+def _two_symbol_classes(k, stride):
     """Every stride-th unordered pair of distinct symbols with nontrivial
-    slots over k, kept when the class has quaternion index."""
+    slots over k, with the index of its class."""
     nontrivial = sqcl_group(k)[1:]
     symbols = list(product(nontrivial, repeat=2))
     for pair in islice(combinations(symbols, 2), 0, None, stride):
         B = BrauerClass(k, pair)
-        if bc_is_division(B) == DivisionKind.QUATERNION:
-            yield B
+        yield B, bc_is_division(B)
+
+
+# split and biquaternion classes among the pairs that give the `expected`
+# quaternion classes below
+_SPLIT_AND_BIQUATERNION = {
+    "CDV(F3)": (18, 0), "CDV(F5)": (18, 0), "CDV(F7)": (18, 0),
+    "CDV(CDV(F3))": (126, 0), "CDV(CDV(CDV(F5)))": (3, 38),
+    "CDV(CDV(CDV(CDV(F3))))": (2, 84),
+}
 
 
 @pytest.mark.parametrize("field,stride,expected", [
@@ -150,11 +160,17 @@ def _quaternion_two_symbol_classes(k, stride):
 ])
 def test_single_symbol_rep_is_the_first_trivialising_pair(field, stride, expected):
     k = parse_field(field)
-    seen = 0
-    for B in _quaternion_two_symbol_classes(k, stride):
-        assert bc_single_symbol_rep(B) == _first_trivialising_pair(B), str(B)
-        seen += 1
-    assert seen == expected
+    seen = {kind: 0 for kind in DivisionKind}
+    for B, index in _two_symbol_classes(k, stride):
+        if index is DivisionKind.BIQUATERNION:
+            with pytest.raises(UnsupportedClassError):
+                bc_single_symbol_rep(B)
+        else:
+            assert bc_single_symbol_rep(B) == _first_trivialising_pair(B), str(B)
+        seen[index] += 1
+    assert seen[DivisionKind.QUATERNION] == expected
+    assert (seen[DivisionKind.SPLIT], seen[DivisionKind.BIQUATERNION]) == \
+        _SPLIT_AND_BIQUATERNION[field]
 
 
 def test_base_change_by_ramified_map_unramifies():
@@ -186,7 +202,7 @@ def test_classifier_case3_on_ramified_extension():
     B = parse_brauer(K2, "(u,p)")
     res = classify_unitary_case(B, parse_class(K2, "t"))
     assert res.case == UnitaryCase.CASE3
-    assert str(bc_ramification(res.extended_class).residue_class) == "(u,pi)"
+    assert str(res.residue_unramified) == "(u,pi)"
 
 
 def test_classifier_case2_on_ramified_algebra():
@@ -205,14 +221,42 @@ def test_classifier_division_precondition():
     B = parse_brauer(K2, "(u,p)")
     for lam in ("u", "p", "u*p"):
         with pytest.raises(NotDivisionError) as err:
-            classify_unitary_case(B, parse_class(K2, lam))
+            u_exact(B, "zero", parse_class(K2, lam))
         assert err.value.witness is not None
         assert qf_is_isotropic(err.value.witness)
     Bram = parse_brauer(K2, "(u,t)")
     with pytest.raises(NotDivisionError):
-        classify_unitary_case(Bram, parse_class(K2, "u"))  # same unit class
+        u_exact(Bram, "zero", parse_class(K2, "u"))  # same unit class
     with pytest.raises(NotDivisionError):
-        classify_unitary_case(Bram, parse_class(K2, "t"))  # extension splits it
+        u_exact(Bram, "zero", parse_class(K2, "t"))  # extension splits it
+
+
+def test_extended_index_keeps_the_index():
+    assert bc_extended_index(parse_brauer(K2, "(u,t)"), parse_class(K2, "p"),
+                             DivisionKind.QUATERNION, False) is DivisionKind.QUATERNION
+    assert bc_extended_index(trivial_class(K2), parse_class(K2, "u"),
+                             DivisionKind.SPLIT, False) is DivisionKind.SPLIT
+
+
+def test_extended_index_splits_only_with_morita():
+    B, lam = parse_brauer(K2, "(u,t)"), parse_class(K2, "t")
+    assert bc_extended_index(B, lam, DivisionKind.QUATERNION, True) \
+        is DivisionKind.SPLIT
+    with pytest.raises(NotDivisionError) as err:
+        bc_extended_index(B, lam, DivisionKind.QUATERNION, False)
+    assert str(err.value) == ("the algebra does not stay division over the "
+                              "extension (quaternion became split)")
+    assert qf_is_isotropic(err.value.witness)
+
+
+def test_extended_index_refuses_a_lost_biquaternion():
+    k = parse_field("CDV(CDV(CDV(F5)))")
+    B = parse_brauer(k, "(u,pi);(t,s)")
+    for morita in (False, True):
+        with pytest.raises(NotDivisionError) as err:
+            bc_extended_index(B, parse_class(k, "u"), DivisionKind.BIQUATERNION, morita)
+        assert str(err.value).endswith("(biquaternion became quaternion)")
+        assert qf_is_isotropic(err.value.witness)
 
 
 def test_classifier_rejects_trivial_extension_class():
@@ -224,8 +268,8 @@ def test_gff_residue_needs_assertion():
     kg = CDVField(GlobalFunctionField(9))
     B = parse_brauer(kg, "(a,b)")
     with pytest.raises(NeedsAssertionError):
-        classify_unitary_case(B, parse_class(kg, "v"))
-    res = classify_unitary_case(B, parse_class(kg, "v"), assume_division=True)
+        u_exact(B, "zero", parse_class(kg, "v"))
+    res = classify_unitary_case(B, parse_class(kg, "v"))
     assert res.case == UnitaryCase.CASE1
     with pytest.raises(UnsupportedFieldError):
         bc_is_division(B)

@@ -204,6 +204,29 @@ def test_lab_symbol_needs_two_slots(capsys):
     assert code == 1 and "a symbol has two slots" in err
 
 
+def run_within(seconds, capsys, *argv):
+    def timeout(signum, frame):
+        raise TimeoutError(f"{' '.join(argv)} did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_lab_symbol_needs_a_unit_first_slot(capsys):
+    for symbol in ("(2/5,5)", "(50,5)", "(10,5)"):
+        for verb in (("pid",), ("larmour", "--form", "1,5")):
+            code, _, err = run(capsys, "lab", *verb, "--p", "5", "--symbol", symbol)
+            assert code == 1 and "slot a" in err, (verb, symbol)
+    # the prime is checked first: a valuation at p = 1 would never end
+    code, _, err = run_within(5, capsys, "lab", "pid", "--p", "1", "--symbol", "(2,3)")
+    assert code == 1 and "odd prime" in err
+
+
 HUGE = "1000000000000000003"
 
 
@@ -216,16 +239,7 @@ HUGE = "1000000000000000003"
     ("bounds", "ai", "--i", "20000"),
 ])
 def test_huge_field_size_is_a_usage_error(capsys, argv):
-    def timeout(signum, frame):
-        raise TimeoutError(f"{' '.join(argv)} did not return")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(5)
-    try:
-        code, _, err = run(capsys, *argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    code, _, err = run_within(5, capsys, *argv)
     assert code == 1 and "above the supported bound" in err
 
 

@@ -103,6 +103,8 @@ def test_unsupported_shapes_refused():
             reduced_quadratic(h)
     with pytest.raises(UnsupportedShapeError):
         u_search(B, canonical_involution(), -1, K1)
+    with pytest.raises(UnsupportedShapeError, match="unknown involution kind"):
+        InvolutionDesc("orthogonal")
 
 
 def test_rank_zero_forms_are_anisotropic():
