@@ -415,8 +415,9 @@ def _verify_rows(p: int, q: int, only=None):
             "source": source, "ok": expected == computed,
         })
 
-    sections = {e.section for e in expected_table(p, q)}
-    for entry in expected_table(p, q):
+    table = expected_table(p, q)
+    sections = {e.section for e in table}
+    for entry in table:
         if only and entry.section != only:
             continue
         try:

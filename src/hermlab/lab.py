@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import EngineError, UnsupportedShapeError
 from .fields import (
@@ -362,6 +363,25 @@ def _involution_kind(sigma, alg: LabAlgebra) -> str:
     return "conjugation" if moved == (alg.p - 1, 0) else "identity"
 
 
+@lru_cache(maxsize=16)
+def _parameter_data(sigma: Involution, pid: QuaternionElt):
+    """What the decomposition needs from (sigma, pid) alone: pid's inverse,
+    the twisted involution, pid's sign eps' under sigma, r = 2*w(pid)
+    (which must be odd) and the residue involution kinds of sigma and of
+    the twisted involution."""
+    eps_prime = 1 if sigma(pid) == pid else -1
+    double_pid_value = 2 * w_value(pid)
+    if double_pid_value.denominator != 1 or int(double_pid_value) % 2 == 0:
+        raise ValueError("the twisting element must have half-odd value")
+    pid_inv = pid.inverse()
+
+    def sigma_twisted(y):
+        return pid * sigma(y) * pid_inv
+
+    return (pid_inv, sigma_twisted, eps_prime, int(double_pid_value),
+            _involution_kind(sigma, pid.alg), _involution_kind(sigma_twisted, pid.alg))
+
+
 def larmour_decompose(entries, sigma: Involution, pid: QuaternionElt,
                       eps: int = 1) -> LarmourResult:
     """Split a diagonal form into two residue forms along the parameter.
@@ -372,17 +392,12 @@ def larmour_decompose(entries, sigma: Involution, pid: QuaternionElt,
     is conjugation by the parameter composed with sigma and whose sign
     picks up the parameter's sign.  Rescaling by sigma(x) * d * x never
     changes the form, so the verdict "isotropic iff one residue part is"
-    can be compared against an independent reduction.
+    can be compared against an independent reduction.  The data fixed by
+    (sigma, pid) is computed once per pair and memoised; every entry is
+    checked afresh.
     """
     alg = pid.alg
-    eps_prime = 1 if sigma(pid) == pid else -1
-    double_pid_value = 2 * w_value(pid)
-    if double_pid_value.denominator != 1 or int(double_pid_value) % 2 == 0:
-        raise ValueError("the twisting element must have half-odd value")
-    r = int(double_pid_value)
-
-    def sigma_twisted(y):
-        return pid * sigma(y) * pid.inverse()
+    pid_inv, sigma_twisted, eps_prime, r, kind1, kind2 = _parameter_data(sigma, pid)
 
     def rescaler(shift: int) -> QuaternionElt:
         """An element x with 2*w(x) = shift, mixing pid and prime powers."""
@@ -404,7 +419,7 @@ def larmour_decompose(entries, sigma: Involution, pid: QuaternionElt,
                 raise EngineError("rescaling missed the unit range")
             h1_entries.append(residue_elt(unit))
         else:
-            e = d * pid.inverse()
+            e = d * pid_inv
             we = w_value(e)
             if we.denominator != 1:
                 raise EngineError("parameter stripping left a half-odd value")
@@ -417,8 +432,6 @@ def larmour_decompose(entries, sigma: Involution, pid: QuaternionElt,
             h2_entries.append(residue_elt(unit))
 
     u = int(alg.a) % alg.p
-    kind1 = _involution_kind(sigma, alg)
-    kind2 = _involution_kind(sigma_twisted, alg)
     h1 = ResidueForm(alg.p, u, tuple(h1_entries), kind1, eps)
     h2 = ResidueForm(alg.p, u, tuple(h2_entries), kind2, eps * eps_prime)
     return LarmourResult(h1, h2)
@@ -431,8 +444,9 @@ def jacobson_verdict(scalars, alg: LabAlgebra) -> bool:
     norm_entries = (Fraction(1), -alg.a, -alg.b, alg.a * alg.b)
     classes = tuple(class_of_rational(k, Fraction(c) * n)
                     for c in scalars for n in norm_entries)
-    verdict = qf_is_isotropic(QuadForm(k, classes))
-    oracle = qf_is_isotropic_oracle(QuadForm(k, classes))
+    form = QuadForm(k, classes)
+    verdict = qf_is_isotropic(form)
+    oracle = qf_is_isotropic_oracle(form)
     if verdict != oracle:
         raise EngineError("the two quadratic deciders disagree")
     return verdict

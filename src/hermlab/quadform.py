@@ -125,15 +125,15 @@ def _valuation_unit(x: Fraction, p: int):
     return v, num * pow(den, p - 2, p) % p
 
 
-def hilbert_symbol(a: Fraction, b: Fraction, p: int) -> int:
-    """Hilbert symbol over the p-adic rationals, p odd."""
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    alpha, s = _valuation_unit(Fraction(a), p)
-    beta, t = _valuation_unit(Fraction(b), p)
-    result = 1
-    if (alpha * beta) % 2 and (p - 1) // 2 % 2:
-        result = -result
+def hilbert_symbol(a, b, p: int) -> int:
+    """Hilbert symbol over the p-adic rationals, p odd.
+
+    Each argument is the (valuation, unit mod p) pair that _valuation_unit
+    returns; the symbol depends on nothing else (Serre, A Course in
+    Arithmetic, III.1.2, Theorem 1).
+    """
+    (alpha, s), (beta, t) = a, b
+    result = -1 if alpha * beta % 2 and p % 4 == 3 else 1
     if beta % 2:
         result *= legendre(s, p)
     if alpha % 2:
@@ -141,9 +141,13 @@ def hilbert_symbol(a: Fraction, b: Fraction, p: int) -> int:
     return result
 
 
-def is_square_rational(x: Fraction, p: int) -> bool:
-    v, u = _valuation_unit(Fraction(x), p)
+def _is_square(pair, p: int) -> bool:
+    v, u = pair
     return v % 2 == 0 and legendre(u, p) == 1
+
+
+def is_square_rational(x: Fraction, p: int) -> bool:
+    return _is_square(_valuation_unit(Fraction(x), p), p)
 
 
 def rational_lift(a: SquareClass) -> Fraction:
@@ -163,8 +167,9 @@ def qf_is_isotropic_oracle(q: QuadForm) -> bool:
     """Classical criterion from dimension, discriminant and Hasse symbol.
 
     Shares no code with the residue recursion: entries are lifted to
-    actual rationals and all invariants are computed with Legendre
-    symbols.
+    actual rationals, each lift is split once into its valuation and its
+    unit mod p, and all invariants are computed from those pairs with
+    Legendre symbols.
     """
     k = q.field
     if not (isinstance(k, CDVField) and isinstance(k.residue, FiniteField)
@@ -172,23 +177,24 @@ def qf_is_isotropic_oracle(q: QuadForm) -> bool:
         raise UnsupportedFieldError("the invariant decider runs over the "
                                     "height-one tower only")
     p = k.residue.p
-    coeffs = [rational_lift(a) for a in q.entries]
-    n = len(coeffs)
+    pairs = [_valuation_unit(rational_lift(a), p) for a in q.entries]
+    n = len(pairs)
     if n <= 1:
         return False
-    d = Fraction(1)
-    for c in coeffs:
-        d *= c
+    v, u = 0, 1
+    for w, c in pairs:
+        v, u = v + w, u * c % p
+    minus_d, neg_one = (v, -u % p), (0, p - 1)
     eps = 1
     for i in range(n):
         for j in range(i + 1, n):
-            eps *= hilbert_symbol(coeffs[i], coeffs[j], p)
+            eps *= hilbert_symbol(pairs[i], pairs[j], p)
     if n == 2:
-        return is_square_rational(-d, p)
+        return _is_square(minus_d, p)
     if n == 3:
-        return eps == hilbert_symbol(Fraction(-1), -d, p)
+        return eps == hilbert_symbol(neg_one, minus_d, p)
     if n == 4:
-        return (not is_square_rational(d, p)) or eps == hilbert_symbol(Fraction(-1), Fraction(-1), p)
+        return (not _is_square((v, u), p)) or eps == hilbert_symbol(neg_one, neg_one, p)
     return True
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hermlab.errors import EngineError, UnsupportedShapeError
 from hermlab.lab import (
     LabAlgebra,
+    _parameter_data,
     ResidueForm,
     basis_i,
     basis_ij,
@@ -230,6 +231,29 @@ def test_decomposition_verdict_independent_of_parameter():
         verdicts = {larmour_decompose(entries, gamma, pid).isotropic
                     for pid in (pid1, pid2, pid3)}
         assert len(verdicts) == 1
+
+
+def test_parameter_memo_keys_on_involution_and_parameter():
+    sigma, gamma = choose_sigma(ALG), gamma_involution(ALG)
+    pids = [choose_pid(ALG, sigma, basis_j(ALG)).pid,
+            choose_pid(ALG, gamma, basis_j(ALG)).pid,
+            choose_pid(ALG, gamma, basis_j(ALG).scale(Fraction(5))).pid,
+            choose_pid(ALG, gamma, basis_ij(ALG)).pid]
+    scalars = [scalar(ALG, 1), scalar(ALG, 10)]
+    # entries of half-odd value land in the twisted part, which uses pid^-1
+    twisted = {sigma: ([basis_j(ALG), basis_ij(ALG).scale(Fraction(5))], 1),
+               gamma: ([basis_i(ALG), basis_j(ALG), basis_ij(ALG).scale(Fraction(5))], -1)}
+    # consecutive calls share the parameter but not the involution, then
+    # the involution but not the parameter
+    pairs = ([(inv, pid) for pid in pids for inv in (sigma, gamma)]
+             + [(inv, pid) for inv in (sigma, gamma) for pid in pids])
+    calls = [(entries, inv, pid, eps) for inv, pid in pairs
+             for entries, eps in ((scalars, 1), twisted[inv])]
+    _parameter_data.cache_clear()
+    warm = [larmour_decompose(*call) for call in calls]
+    for call, result in zip(calls, warm):
+        _parameter_data.cache_clear()
+        assert larmour_decompose(*call) == result, call[1:]
 
 
 def test_residue_square_classes():

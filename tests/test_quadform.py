@@ -1,7 +1,9 @@
 """Isotropy deciders and the quadratic u-invariant search."""
 
+import random
 import signal
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -15,13 +17,16 @@ from hermlab.fields import (
     GlobalFunctionField,
     minus_one,
     parse_class,
+    smallest_nonresidue,
     sqcl_group,
     symbolic,
 )
 from hermlab.hermitian import HermFormDesc, canonical_involution, herm_is_isotropic
 from hermlab.quadform import (
     QuadForm,
+    _valuation_unit,
     albert_form,
+    hilbert_symbol,
     is_square_rational,
     max_anisotropic_rank,
     norm_form,
@@ -184,6 +189,28 @@ def test_square_test_rejects_zero():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_hilbert_symbol_relations(p):
+    def h(a, b):
+        return hilbert_symbol(_valuation_unit(a, p), _valuation_unit(b, p), p)
+
+    rng = random.Random(1000 + p)
+    sample = []
+    while len(sample) < 40:
+        num, den = rng.randint(-60, 60), rng.randint(1, 30)
+        if num:
+            sample.append(Fraction(num, den) * Fraction(p) ** rng.randint(-2, 2))
+    for a, a2, b in zip(sample, sample[1:] + sample[:1], sample[2:] + sample[:2]):
+        assert h(a, b) == h(b, a)
+        assert h(a * a2, b) == h(a, b) * h(a2, b)
+        assert h(a, -a) == 1
+        if a != 1:
+            assert h(a, 1 - a) == 1
+    u = Fraction(smallest_nonresidue(p))
+    assert h(u, Fraction(p)) == -1
+    assert h(Fraction(p), Fraction(p)) == h(Fraction(-1), Fraction(p))
 
 
 def test_dim_five_forms_all_isotropic_height_one():
