@@ -18,6 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .brauer import parse_brauer, trivial_class
 from .errors import (
@@ -73,7 +74,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argparse tree, built on first use and shared by every later call;
+    parsing leaves no state on it, each call gets a fresh namespace."""
     parser = _Parser(prog="hermlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import (
@@ -290,8 +291,10 @@ def minus_one(k: FieldDesc) -> SquareClass:
     return SquareClass(k, 0 if base.order % 4 == 1 else 1)
 
 
+@lru_cache(maxsize=64)
 def smallest_nonresidue(p: int) -> int:
-    """Least positive quadratic nonresidue mod an odd prime."""
+    """Least positive quadratic nonresidue mod an odd prime, memoised per
+    prime; callers check the prime against the field bound first."""
     for n in range(2, p):
         if pow(n, (p - 1) // 2, p) == p - 1:
             return n

@@ -10,6 +10,12 @@ ij = -ji, where a is a nonsquare unit and b has odd valuation; for that
 presentation the integral elements are exactly those with p-integral
 coordinates, and the residue ring is the quadratic extension of the prime
 field generated by the image of i.
+
+A quaternion is stored as an integer lattice element: four integer
+numerators over one positive common denominator, in lowest terms.  The
+algebra clears the denominators of its slots once, so products, norms and
+inverses are integer formulas; valuations and residues are read from the
+integers, and ``coords`` turns them back into Fractions.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import EngineError, UnsupportedShapeError
 from .fields import (
@@ -57,6 +64,13 @@ class LabAlgebra:
         if self.a == 0 or vp(self.a, self.p) != 0:
             raise ValueError(f"slot a = {self.a} of the symbol is not a "
                              f"{self.p}-adic unit")
+        # The slots with their denominators cleared once: a = A/da, b = B/db
+        # and D = da*db, so D times a product or a norm is an integer form in
+        # the numerators.
+        a, b = Fraction(self.a), Fraction(self.b)
+        da, db = a.denominator, b.denominator
+        object.__setattr__(self, "_cleared", (da * db, a.numerator * db,
+                                              b.numerator * da, a.numerator * b.numerator))
 
     def tower(self) -> CDVField:
         return CDVField(FiniteField(self.p))
@@ -74,70 +88,105 @@ def standard_algebra(p: int) -> LabAlgebra:
     return LabAlgebra(Fraction(smallest_nonresidue(p)), Fraction(p), p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class QuaternionElt:
-    """x0 + x1*i + x2*j + x3*ij with exact rational coordinates."""
+    """x0 + x1*i + x2*j + x3*ij with exact rational coordinates.
+
+    Stored as a lattice element: four integer numerators over one positive
+    common denominator, in lowest terms, so equal elements have equal
+    fields and hash alike.  ``coords`` gives the four Fractions back.
+    """
 
     alg: LabAlgebra
-    coords: tuple  # four Fractions
+    nums: tuple  # four ints
+    den: int
 
-    def __post_init__(self):
-        if len(self.coords) != 4:
+    def __init__(self, alg: LabAlgebra, coords):
+        if len(coords) != 4:
             raise ValueError("four coordinates required")
+        coords = [Fraction(c) for c in coords]
+        # over the lcm of reduced denominators no prime divides every slot
+        den = lcm(*(c.denominator for c in coords))
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator)
+                                               for c in coords))
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __add__(self, other):
         self._check(other)
-        return QuaternionElt(self.alg, tuple(x + y for x, y in
-                                             zip(self.coords, other.coords)))
+        d, e = self.den, other.den
+        return _lattice(self.alg, *(x * e + y * d for x, y in zip(self.nums, other.nums)),
+                        d * e)
 
     def __sub__(self, other):
         self._check(other)
-        return QuaternionElt(self.alg, tuple(x - y for x, y in
-                                             zip(self.coords, other.coords)))
+        d, e = self.den, other.den
+        return _lattice(self.alg, *(x * e - y * d for x, y in zip(self.nums, other.nums)),
+                        d * e)
 
     def __neg__(self):
-        return QuaternionElt(self.alg, tuple(-x for x in self.coords))
+        x0, x1, x2, x3 = self.nums
+        return _lattice(self.alg, -x0, -x1, -x2, -x3, self.den)
 
     def __mul__(self, other):
         self._check(other)
-        a, b = self.alg.a, self.alg.b
-        x0, x1, x2, x3 = self.coords
-        y0, y1, y2, y3 = other.coords
-        return QuaternionElt(self.alg, (
-            x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-        ))
+        d, ad, bd, ab = self.alg._cleared
+        x0, x1, x2, x3 = self.nums
+        y0, y1, y2, y3 = other.nums
+        return _lattice(
+            self.alg,
+            d * x0 * y0 + ad * x1 * y1 + bd * x2 * y2 - ab * x3 * y3,
+            d * (x0 * y1 + x1 * y0) + bd * (x3 * y2 - x2 * y3),
+            d * (x0 * y2 + x2 * y0) + ad * (x1 * y3 - x3 * y1),
+            d * (x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1),
+            d * self.den * other.den)
 
     def scale(self, c: Fraction):
-        return QuaternionElt(self.alg, tuple(c * x for x in self.coords))
+        c = Fraction(c)
+        n = c.numerator
+        x0, x1, x2, x3 = self.nums
+        return _lattice(self.alg, n * x0, n * x1, n * x2, n * x3, c.denominator * self.den)
 
     def conj(self):
         """Canonical involution: negates the pure part."""
-        x0, x1, x2, x3 = self.coords
-        return QuaternionElt(self.alg, (x0, -x1, -x2, -x3))
+        x0, x1, x2, x3 = self.nums
+        return _lattice(self.alg, x0, -x1, -x2, -x3, self.den)
+
+    def _norm_numerator(self) -> int:
+        """D * den**2 * nrd, with D the cleared slot denominator."""
+        d, ad, bd, ab = self.alg._cleared
+        x0, x1, x2, x3 = self.nums
+        return d * x0 * x0 - ad * x1 * x1 - bd * x2 * x2 + ab * x3 * x3
 
     def nrd(self) -> Fraction:
-        a, b = self.alg.a, self.alg.b
-        x0, x1, x2, x3 = self.coords
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+        return Fraction(self._norm_numerator(), self.alg._cleared[0] * self.den * self.den)
 
     def inverse(self):
-        n = self.nrd()
+        n = self._norm_numerator()
         if n == 0:
             raise ZeroDivisionError("not invertible: reduced norm vanishes")
-        return self.conj().scale(Fraction(1) / n)
+        # conj / nrd: each coordinate +-x/den times D * den**2 / n
+        f = self.alg._cleared[0] * self.den
+        if n < 0:
+            n, f = -n, -f
+        x0, x1, x2, x3 = self.nums
+        return _lattice(self.alg, f * x0, -f * x1, -f * x2, -f * x3, n)
 
     def is_integral(self) -> bool:
-        return all(c.denominator % self.alg.p != 0 for c in self.coords)
+        # in lowest terms, p divides the common denominator exactly when it
+        # divides some coordinate's denominator
+        return self.den % self.alg.p != 0
 
     def _check(self, other):
-        if other.alg != self.alg:
+        if other.alg is not self.alg and other.alg != self.alg:
             raise ValueError("mixed quaternion algebras")
 
     def __str__(self):
@@ -146,27 +195,43 @@ class QuaternionElt:
         return " + ".join(parts) if parts else "0"
 
 
+def _lattice(alg: LabAlgebra, x0: int, x1: int, x2: int, x3: int, den: int) -> QuaternionElt:
+    """The element (x0 + x1*i + x2*j + x3*ij) / den, den > 0, in lowest terms."""
+    g = gcd(x0, x1, x2, x3, den)
+    if g != 1:
+        x0, x1, x2, x3, den = x0 // g, x1 // g, x2 // g, x3 // g, den // g
+    x = object.__new__(QuaternionElt)
+    object.__setattr__(x, "alg", alg)
+    object.__setattr__(x, "nums", (x0, x1, x2, x3))
+    object.__setattr__(x, "den", den)
+    return x
+
+
 def scalar(alg: LabAlgebra, c) -> QuaternionElt:
-    return QuaternionElt(alg, (Fraction(c), Fraction(0), Fraction(0), Fraction(0)))
+    c = Fraction(c)
+    return _lattice(alg, c.numerator, 0, 0, 0, c.denominator)
 
 
 def basis_i(alg: LabAlgebra) -> QuaternionElt:
-    return QuaternionElt(alg, (Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
+    return _lattice(alg, 0, 1, 0, 0, 1)
 
 
 def basis_j(alg: LabAlgebra) -> QuaternionElt:
-    return QuaternionElt(alg, (Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
+    return _lattice(alg, 0, 0, 1, 0, 1)
 
 
 def basis_ij(alg: LabAlgebra) -> QuaternionElt:
-    return QuaternionElt(alg, (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
+    return _lattice(alg, 0, 0, 0, 1, 1)
 
 
 def w_value(x: QuaternionElt) -> Fraction:
     """Half the valuation of the reduced norm; half-integers allowed."""
     if x.is_zero:
         raise ValueError("zero has no value")
-    return Fraction(vp(x.nrd(), x.alg.p), 2)
+    p = x.alg.p
+    num = split_valuation(x._norm_numerator(), p)[0]
+    den = split_valuation(x.alg._cleared[0] * x.den * x.den, p)[0]
+    return Fraction(num - den, 2)
 
 
 def residue_elt(x: QuaternionElt, allow_positive: bool = False):
@@ -183,7 +248,8 @@ def residue_elt(x: QuaternionElt, allow_positive: bool = False):
         if w < 0 or (w != 0 and not allow_positive):
             raise ValueError(f"value {w} is not zero")
     p = x.alg.p
-    return (residue_rational(x.coords[0], p), residue_rational(x.coords[1], p))
+    inv = pow(x.den, -1, p)
+    return (x.nums[0] * inv % p, x.nums[1] * inv % p)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +497,7 @@ def larmour_decompose(entries, sigma: Involution, pid: QuaternionElt,
                 raise EngineError("twisted entry has the wrong symmetry")
             h2_entries.append(residue_elt(unit))
 
-    u = int(alg.a) % alg.p
+    u = residue_rational(alg.a, alg.p)
     h1 = ResidueForm(alg.p, u, tuple(h1_entries), kind1, eps)
     h2 = ResidueForm(alg.p, u, tuple(h2_entries), kind2, eps * eps_prime)
     return LarmourResult(h1, h2)

@@ -45,6 +45,20 @@ def test_parse_errors_do_not_exit():
         parse(["nonsense"])
 
 
+def test_cached_parser_holds_no_state_between_calls():
+    first = parse(["verify", "paper", "--only", "lab"])
+    second = parse(["verify", "paper"])
+    assert first.only == "lab" and second.only is None
+    assert first is not second
+    marked = parse(["uinv", "exact", "--field", "CDV(F5)", "--type", "plus",
+                    "--assert-division", "residue"])
+    plain = parse(["uinv", "exact", "--field", "CDV(F5)", "--type", "plus"])
+    assert marked.assertions == ["residue"] and plain.assertions == []
+    with pytest.raises(ParseError):
+        parse(["verify", "paper", "--only"])
+    assert parse(["verify", "paper"]).only is None
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "isotropy", "quad", "--field", "CDV(F5)")
     assert code == 1 and "usage error" in err

@@ -27,6 +27,7 @@ from hermlab.fields import (
     parse_class,
     parse_field,
     quadratic_extension,
+    smallest_nonresidue,
     sqcl_group,
     sqcl_mul,
     symbolic,
@@ -375,3 +376,11 @@ def test_group_order_is_integer_order_of_masks():
         classes = sqcl_group(k)
         assert [c.data for c in classes] == list(range(2 << h))
         assert [class_to_str(c) for c in classes] == [_ref_str(k, r) for r in _ref_group(k)]
+
+
+def test_smallest_nonresidue_matches_brute_force():
+    for p in range(3, 200, 2):
+        if any(p % d == 0 for d in range(3, p, 2)):
+            continue
+        squares = {x * x % p for x in range(1, p)}
+        assert smallest_nonresidue(p) == min(n for n in range(2, p) if n not in squares)

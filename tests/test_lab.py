@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hermlab.errors import EngineError, UnsupportedShapeError
 from hermlab.lab import (
     LabAlgebra,
+    QuaternionElt,
     _parameter_data,
     ResidueForm,
     basis_i,
@@ -36,7 +37,6 @@ coords = st.tuples(*[st.integers(min_value=-9, max_value=9) for _ in range(4)])
 
 
 def make(c, alg=ALG):
-    from hermlab.lab import QuaternionElt
     return QuaternionElt(alg, tuple(Fraction(x) for x in c))
 
 
@@ -74,6 +74,143 @@ def test_value_is_a_valuation(c1, c2):
         assert w_value(x + y) >= min(w_value(x), w_value(y))
     sigma = gamma_involution(ALG)
     assert w_value(sigma(x)) == w_value(x)
+
+
+# Test-local copies of the coordinate formulas over Fractions, the
+# reference for the integer lattice arithmetic of QuaternionElt.
+
+def _ref_mul(a, b, x, y):
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+
+
+def _ref_nrd(a, b, x):
+    x0, x1, x2, x3 = x
+    return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+
+
+def _ref_vp(x, p):
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _ref_residue(x, a, b, p, allow_positive):
+    """The residue pair, or None where residue_elt must raise ValueError."""
+    if any(c.denominator % p == 0 for c in x):
+        return None
+    if any(x):
+        n = _ref_nrd(a, b, x)
+        if n == 0:
+            return None
+        w = Fraction(_ref_vp(n, p), 2)
+        if w < 0 or (w != 0 and not allow_positive):
+            return None
+    return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in x[:2])
+
+
+def _ref_str(x):
+    parts = [f"{c}{n}" if n else f"{c}" for c, n in zip(x, ("", "i", "j", "ij")) if c != 0]
+    return " + ".join(parts) if parts else "0"
+
+
+# slots with rational entries and p in their denominators next to the
+# standard presentations; every a is a p-adic unit
+LATTICE_ALGEBRAS = [standard_algebra(5), LabAlgebra(Fraction(2, 3), Fraction(5, 7), 5),
+                    LabAlgebra(Fraction(-3, 7), Fraction(1, 5), 5),
+                    LabAlgebra(Fraction(2, 5), Fraction(9, 4), 3),
+                    standard_algebra(7), LabAlgebra(Fraction(4), Fraction(1, 98), 7)]
+
+
+def _rationals(p):
+    """Rationals n/m * p**e: p-power denominators mixed with other primes,
+    p-integral about half the time."""
+    return st.builds(lambda n, e, m: Fraction(n, m) * Fraction(p) ** e,
+                     st.integers(min_value=-60, max_value=60),
+                     st.integers(min_value=-2, max_value=3),
+                     st.sampled_from([1, 2, 3, 4, 7, 11]))
+
+
+lattice_cases = st.sampled_from(LATTICE_ALGEBRAS).flatmap(
+    lambda alg: st.tuples(st.just(alg),
+                          st.tuples(*[_rationals(alg.p)] * 4),
+                          st.tuples(*[_rationals(alg.p)] * 4),
+                          _rationals(alg.p)))
+
+
+@given(lattice_cases, st.booleans())
+@settings(max_examples=200)
+def test_lattice_arithmetic_matches_fraction_formulas(case, allow_positive):
+    alg, xc, yc, c = case
+    a, b, p = Fraction(alg.a), Fraction(alg.b), alg.p
+    x, y = QuaternionElt(alg, xc), QuaternionElt(alg, yc)
+    assert x.coords == xc and y.coords == yc
+    assert all(type(t) is Fraction for t in x.coords)
+    assert (x * y).coords == _ref_mul(a, b, xc, yc)
+    assert (x + y).coords == tuple(s + t for s, t in zip(xc, yc))
+    assert (x - y).coords == tuple(s - t for s, t in zip(xc, yc))
+    assert (-x).coords == tuple(-s for s in xc)
+    assert x.scale(c).coords == tuple(c * s for s in xc)
+    assert x.conj().coords == (xc[0], -xc[1], -xc[2], -xc[3])
+    n = _ref_nrd(a, b, xc)
+    assert x.nrd() == n
+    if n == 0:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert x.inverse().coords == tuple(t / n for t in (xc[0], -xc[1], -xc[2], -xc[3]))
+        assert w_value(x) == Fraction(_ref_vp(n, p), 2)
+    if not any(xc):
+        with pytest.raises(ValueError):
+            w_value(x)
+    assert x.is_integral() == all(t.denominator % p != 0 for t in xc)
+    expected = _ref_residue(xc, a, b, p, allow_positive)
+    if expected is None:
+        with pytest.raises(ValueError):
+            residue_elt(x, allow_positive=allow_positive)
+    else:
+        assert residue_elt(x, allow_positive=allow_positive) == expected
+    assert str(x) == _ref_str(xc)
+
+
+def test_one_element_built_two_ways_is_equal():
+    halves = [QuaternionElt(ALG, (Fraction(2, 4), 0, 0, 0)), scalar(ALG, Fraction(1, 2)),
+              scalar(ALG, 2) * scalar(ALG, Fraction(1, 4)),
+              make((3, 0, 0, 0)).scale(Fraction(1, 6))]
+    for x in halves:
+        assert x == halves[0] and hash(x) == hash(halves[0])
+    y = make((Fraction(2, 6), Fraction(10, 15), 0, Fraction(-4, 50)))
+    z = make((Fraction(1, 3), Fraction(2, 3), 0, Fraction(-2, 25)))
+    assert y == z and hash(y) == hash(z)
+    w = make((1, 2, 3, 4))
+    assert (y * w) * w.inverse() == y and hash((y * w) * w.inverse()) == hash(y)
+    zero = y - z
+    assert zero == scalar(ALG, 0) and hash(zero) == hash(scalar(ALG, 0))
+    assert zero.is_zero and str(zero) == "0"
+
+
+def test_residue_forms_carry_the_residue_of_a_rational_slot():
+    # a = 2/3 reduces to 3 mod 7, a nonsquare; the residue forms must work
+    # in F_7(sqrt(3)), not with the integer part of 2/3
+    alg = LabAlgebra(Fraction(2, 3), Fraction(5, 7), 7)
+    sigma = choose_sigma(alg)
+    pid = choose_pid(alg, sigma, basis_j(alg)).pid
+    res = larmour_decompose([basis_j(alg), basis_j(alg).scale(2) + basis_ij(alg)], sigma, pid)
+    assert res.h1.u == res.h2.u == 3
+    assert res.h2.rank == 2 and res.h2.involution == "identity"
+    c1, c2 = res.h2.entries
+    minus_prod = _fp2_mul((6, 0), _fp2_mul(c1, c2, 7, 3), 7, 3)
+    squares = {_fp2_mul(s, s, 7, 3) for s in product(range(7), repeat=2)}
+    assert res.h2.is_isotropic() == (minus_prod in squares)
 
 
 def test_basis_values():
