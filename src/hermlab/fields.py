@@ -88,6 +88,11 @@ class FiniteField:
     def order(self) -> int:
         return self.p ** self.e
 
+    @property
+    def minus_one_bit(self) -> int:
+        """The mask of -1's class: 1 (the nonsquare u) iff the order is 3 mod 4."""
+        return self.p ** self.e % 4 >> 1
+
     def __str__(self) -> str:
         return field_to_str(self)
 
@@ -288,7 +293,7 @@ def minus_one(k: FieldDesc) -> SquareClass:
     base = base_field(k)
     if isinstance(base, GlobalFunctionField):
         return SquareClass(k, 0, frozenset() if base.q % 4 == 1 else frozenset({"-1"}))
-    return SquareClass(k, 0 if base.order % 4 == 1 else 1)
+    return SquareClass(k, base.minus_one_bit)
 
 
 @lru_cache(maxsize=64)

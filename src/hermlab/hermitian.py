@@ -25,8 +25,9 @@ from .errors import (
     InvalidExtensionError,
     UnsupportedShapeError,
 )
-from .fields import FieldDesc, SquareClass, minus_one, sqcl_group
-from .quadform import QuadForm, max_anisotropic_rank, norm_form, qf_is_isotropic
+from .fields import FieldDesc, SquareClass, minus_one, one, sqcl_group
+from .quadform import (QuadForm, _masks_isotropic, _product, max_anisotropic_rank,
+                       norm_form, qf_is_isotropic)
 
 
 class UKind(str, Enum):
@@ -103,16 +104,30 @@ class HermFormDesc:
         return "unsupported"
 
 
+def reduced_quadratic(h: HermFormDesc) -> QuadForm:
+    """The quadratic form whose isotropy decides that of h: its entries
+    tensored, entry-major, with the norm form of the symbol (shape a) or
+    with <1, -lam> (shape b).  The descriptor has checked every field, so
+    no product checks one again."""
+    shape = h.shape
+    k = h.algebra.field
+    if shape == "a":
+        a, b = h.algebra.effective_symbols[0]
+        template = norm_form(a, b, k).entries
+    elif shape == "b":
+        template = (one(k), minus_one(k) * h.involution.lam)
+    else:
+        raise UnsupportedShapeError("no concrete decider for this form shape")
+    return QuadForm(k, tuple(_product(k, c, t) for c in h.entries for t in template))
+
+
 def jacobson_quadratic(h: HermFormDesc) -> QuadForm:
     """Shape (a) reduction: entries tensored with the norm form."""
     if h.shape != "a":
         raise UnsupportedShapeError("the trace reduction needs a division "
                                     "quaternion with its canonical involution "
                                     "and sign +1")
-    k = h.algebra.field
-    a, b = h.algebra.effective_symbols[0]
-    nf = norm_form(a, b, k)
-    return QuadForm(k, tuple(c * n for c in h.entries for n in nf.entries))
+    return reduced_quadratic(h)
 
 
 def transfer_quadratic(h: HermFormDesc) -> QuadForm:
@@ -120,24 +135,7 @@ def transfer_quadratic(h: HermFormDesc) -> QuadForm:
     if h.shape != "b":
         raise UnsupportedShapeError("the transfer needs the trivial algebra "
                                     "with a unitary involution")
-    k = h.algebra.field
-    lam = h.involution.lam
-    m1 = minus_one(k)
-    pieces = []
-    for c in h.entries:
-        pieces.append(c)
-        pieces.append(m1 * lam * c)
-    return QuadForm(k, tuple(pieces))
-
-
-def reduced_quadratic(h: HermFormDesc) -> QuadForm:
-    """The quadratic form whose isotropy decides that of h."""
-    shape = h.shape
-    if shape == "a":
-        return jacobson_quadratic(h)
-    if shape == "b":
-        return transfer_quadratic(h)
-    raise UnsupportedShapeError("no concrete decider for this form shape")
+    return reduced_quadratic(h)
 
 
 def herm_is_isotropic(h: HermFormDesc) -> bool:
@@ -147,20 +145,24 @@ def herm_is_isotropic(h: HermFormDesc) -> bool:
 def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int, k: FieldDesc) -> int:
     """Largest rank of an anisotropic form of a supported shape, found by
     the subform-closed search of `max_anisotropic_rank` over entry tuples
-    of square classes of the base field.
+    of square-class masks of the base field.
 
     Entries range over k*/k*^2, which is coarser than isometry but exact
     for suprema; permutation invariance lets the enumeration run over
     sorted tuples, and subforms of anisotropic forms stay anisotropic.
+    The shape and its reduction are decided once per search: the
+    reduction of <1> is the template each candidate is tensored with.
     """
     if B.field != k:
         raise FieldMismatchError("algebra class over the wrong field")
-    probe = HermFormDesc(B, inv, eps, ())
+    probe = HermFormDesc(B, inv, eps, (one(k),))
     if probe.shape == "unsupported":
         raise UnsupportedShapeError("u search covers the two reducible shapes only")
+    template = [t.data for t in reduced_quadratic(probe).entries]
+    m1 = minus_one(k).data
     return max_anisotropic_rank(
-        sqcl_group(k),
-        lambda entries: not herm_is_isotropic(HermFormDesc(B, inv, eps, entries)))
+        [c.data for c in sqcl_group(k)],
+        lambda masks: not _masks_isotropic([c ^ t for c in masks for t in template], m1))
 
 
 def canonical_involution() -> InvolutionDesc:

@@ -1,12 +1,13 @@
 """Diagonal quadratic forms over tower fields.
 
-Isotropy is decided by residue recursion: over a valued layer the form
-splits into a unit part and a uniformizer-twisted part, and it is
-isotropic exactly when one of the residue parts is.  Over the height-one
-tower a second, fully independent decider checks the same question from
-concrete rational representatives through classical dimension /
-discriminant / Hasse-symbol criteria, so the two paths can be compared
-form by form.
+Isotropy is one pass over the entry masks: Springer's split, applied at
+every layer at once, ends in leaves (the entries sharing ``mask >> 1``),
+and a form is isotropic exactly when one of its leaves is.  The residue
+recursion that this flattens logs the `isotropy quad` path.  Over the
+height-one tower a second, fully independent decider checks the same
+question from concrete rational representatives through classical
+dimension / discriminant / Hasse-symbol criteria, so the two paths can be
+compared form by form.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .fields import (
     FieldDesc,
     FiniteField,
     SquareClass,
+    base_field,
     class_to_str,
     field_to_str,
     height,
@@ -28,7 +30,6 @@ from .fields import (
     one,
     smallest_nonresidue,
     split_valuation,
-    sqcl_group,
 )
 
 
@@ -40,8 +41,9 @@ class QuadForm:
     entries: tuple
 
     def __post_init__(self):
+        k = self.field
         for a in self.entries:
-            if a.field != self.field:
+            if a.field is not k and a.field != k:
                 raise FieldMismatchError("form entry over the wrong field")
 
     def __str__(self) -> str:
@@ -52,34 +54,55 @@ def _form_str(k: FieldDesc, masks: tuple) -> str:
     return str(QuadForm(k, tuple(SquareClass(k, m) for m in masks)))
 
 
+def _minus_one_bit(k: FieldDesc) -> int:
+    """The mask of -1's class over a finite-based tower k."""
+    base = base_field(k)
+    if not isinstance(base, FiniteField):
+        raise UnsupportedFieldError("isotropy is undecidable over a "
+                                    "global-function-field base")
+    return base.minus_one_bit
+
+
+def _masks_isotropic(masks, m1: int) -> bool:
+    """The leaf test on entry masks, with m1 the mask of -1: isotropic iff
+    some leaf (the entries sharing ``mask >> 1``) has three or more
+    entries, or two whose masks XOR to m1."""
+    first, full = {}, set()
+    for m in masks:
+        leaf = m >> 1
+        if leaf in full:
+            return True
+        other = first.get(leaf)
+        if other is None:
+            first[leaf] = m
+        elif other ^ m == m1:
+            return True
+        else:
+            full.add(leaf)
+    return False
+
+
 def qf_is_isotropic(q: QuadForm) -> bool:
-    return _decide(q, None)
+    return _masks_isotropic([a.data for a in q.entries], _minus_one_bit(q.field))
 
 
 def qf_isotropy_path(q: QuadForm):
-    """Decide isotropy and log every residue split on the way down."""
+    """Decide isotropy by the residue recursion and log every split."""
+    _minus_one_bit(q.field)  # refuses a global-function-field base
     path = []
-    return _decide(q, path), path
+    return _isotropic_rec(q.field, tuple(a.data for a in q.entries), path), path
 
 
-def _decide(q: QuadForm, path: list | None) -> bool:
-    if not is_finite_based(q.field):
-        raise UnsupportedFieldError("isotropy is undecidable over a "
-                                    "global-function-field base")
-    return _isotropic_rec(q.field, tuple(a.data for a in q.entries), path)
-
-
-def _isotropic_rec(k: FieldDesc, masks: tuple, path: list | None) -> bool:
-    """Residue recursion on entry masks.  Over a height-h layer Springer's
-    split sends the entries with bit h clear to the unit part and those
-    with bit h set, that bit removed, to the twisted part; the form is
-    isotropic exactly when one of the two residue forms is.  Appends one
-    entry per node to path unless it is None, so plain decisions format
-    no strings."""
+def _isotropic_rec(k: FieldDesc, masks: tuple, path: list) -> bool:
+    """Residue recursion on entry masks, which `qf_isotropy_path` logs and
+    the tests check the leaf test against.  Over a height-h layer
+    Springer's split sends the entries with bit h clear to the unit part
+    and those with bit h set, that bit removed, to the twisted part; the
+    form is isotropic exactly when one of the two residue forms is.
+    Appends one entry per node to path."""
     if not masks:
-        if path is not None:
-            path.append({"field": field_to_str(k), "form": _form_str(k, masks),
-                         "isotropic": False, "reason": "empty form"})
+        path.append({"field": field_to_str(k), "form": _form_str(k, masks),
+                     "isotropic": False, "reason": "empty form"})
         return False
     if isinstance(k, FiniteField):
         return _finite_base_case(k, masks, path)
@@ -87,25 +110,23 @@ def _isotropic_rec(k: FieldDesc, masks: tuple, path: list | None) -> bool:
     units = tuple(m for m in masks if not m & bit)
     odd = tuple(m ^ bit for m in masks if m & bit)
     res = k.residue
-    if path is not None:
-        path.append({"field": field_to_str(k), "form": _form_str(k, masks),
-                     "unit_part": _form_str(res, units),
-                     "twisted_part": _form_str(res, odd)})
+    path.append({"field": field_to_str(k), "form": _form_str(k, masks),
+                 "unit_part": _form_str(res, units),
+                 "twisted_part": _form_str(res, odd)})
     return _isotropic_rec(res, units, path) or _isotropic_rec(res, odd, path)
 
 
-def _finite_base_case(k: FiniteField, masks: tuple, path: list | None) -> bool:
+def _finite_base_case(k: FiniteField, masks: tuple, path: list) -> bool:
     if len(masks) >= 3:
         verdict, reason = True, "three or more variables over a finite field"
     elif len(masks) == 2:
         a, b = masks
-        verdict = minus_one(k).data == a ^ b
+        verdict = k.minus_one_bit == a ^ b
         reason = "binary form, -ab square" if verdict else "binary form, -ab nonsquare"
     else:
         verdict, reason = False, "at most one variable"
-    if path is not None:
-        path.append({"field": field_to_str(k), "form": _form_str(k, masks),
-                     "isotropic": verdict, "reason": reason})
+    path.append({"field": field_to_str(k), "form": _form_str(k, masks),
+                 "isotropic": verdict, "reason": reason})
     return verdict
 
 
@@ -230,15 +251,21 @@ def max_anisotropic_rank(classes, is_anisotropic) -> int:
 def u_quadratic(k: FieldDesc) -> int:
     """Largest dimension of an anisotropic diagonal form, by enumeration.
 
-    Entries range over the square classes of k; reordering entries never
-    changes isotropy, and the subform-closed search of
+    Entries range over the square-class masks of k; reordering entries
+    never changes isotropy, and the subform-closed search of
     `max_anisotropic_rank` extends only the anisotropic forms of each
-    dimension.
+    dimension, each decided by the leaf test.
     """
     if not is_finite_based(k):
         raise UnsupportedFieldError("u search needs a finite-based tower")
-    return max_anisotropic_rank(
-        sqcl_group(k), lambda entries: not qf_is_isotropic(QuadForm(k, entries)))
+    m1 = minus_one(k).data
+    return max_anisotropic_rank(range(2 << height(k)),
+                                lambda masks: not _masks_isotropic(masks, m1))
+
+
+def _product(k: FieldDesc, a: SquareClass, b: SquareClass) -> SquareClass:
+    """a * b for classes whose field the caller has checked against k."""
+    return SquareClass(k, a.data ^ b.data, a.names ^ b.names)
 
 
 def norm_form(a: SquareClass, b: SquareClass, k: FieldDesc) -> QuadForm:
@@ -246,7 +273,7 @@ def norm_form(a: SquareClass, b: SquareClass, k: FieldDesc) -> QuadForm:
     if a.field != k or b.field != k:
         raise FieldMismatchError("symbol slots over the wrong field")
     m1 = minus_one(k)
-    return QuadForm(k, (one(k), m1 * a, m1 * b, a * b))
+    return QuadForm(k, (one(k), _product(k, m1, a), _product(k, m1, b), _product(k, a, b)))
 
 
 def albert_form(s1, s2, k: FieldDesc) -> QuadForm:
@@ -256,4 +283,5 @@ def albert_form(s1, s2, k: FieldDesc) -> QuadForm:
         if c.field != k:
             raise FieldMismatchError("symbol slots over the wrong field")
     m1 = minus_one(k)
-    return QuadForm(k, (a1, b1, m1 * a1 * b1, m1 * a2, m1 * b2, a2 * b2))
+    return QuadForm(k, (a1, b1, _product(k, _product(k, m1, a1), b1), _product(k, m1, a2),
+                        _product(k, m1, b2), _product(k, a2, b2)))

@@ -1,6 +1,6 @@
 """Hermitian descriptors, reductions and exhaustive searches."""
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -13,7 +13,15 @@ from hermlab.brauer import (
     trivial_class,
 )
 from hermlab.errors import InvalidExtensionError, UnsupportedShapeError
-from hermlab.fields import CDVField, FiniteField, parse_class, sqcl_group
+from hermlab.fields import (
+    CDVField,
+    FiniteField,
+    GlobalFunctionField,
+    minus_one,
+    one,
+    parse_class,
+    sqcl_group,
+)
 from hermlab.hermitian import (
     HermFormDesc,
     InvolutionDesc,
@@ -26,7 +34,7 @@ from hermlab.hermitian import (
     u_search,
     unitary_involution,
 )
-from hermlab.quadform import u_quadratic
+from hermlab.quadform import albert_form, norm_form, u_quadratic
 
 F5 = FiniteField(5)
 K1 = CDVField(F5)
@@ -153,3 +161,82 @@ def test_transfer_search_halves_the_quadratic_value():
     for k, lam in cases:
         inv = unitary_involution(parse_class(k, lam))
         assert u_search(trivial_class(k), inv, 1, k) == u_quadratic(k) // 2
+
+
+# The reductions take products without a field check.  Their entries, in
+# order, must equal the checked class products of `SquareClass.__mul__`:
+# witnesses and the CLI print them.
+
+def _ref_norm_form(a, b, k):
+    m1 = minus_one(k)
+    return (one(k), m1 * a, m1 * b, a * b)
+
+
+def _ref_albert_form(s1, s2, k):
+    (a1, b1), (a2, b2) = s1, s2
+    m1 = minus_one(k)
+    return (a1, b1, m1 * a1 * b1, m1 * a2, m1 * b2, a2 * b2)
+
+
+def _ref_jacobson(h):
+    a, b = h.algebra.effective_symbols[0]
+    nf = _ref_norm_form(a, b, h.algebra.field)
+    return tuple(c * n for c in h.entries for n in nf)
+
+
+def _ref_transfer(h):
+    k = h.algebra.field
+    m1, lam = minus_one(k), h.involution.lam
+    pieces = []
+    for c in h.entries:
+        pieces.append(c)
+        pieces.append(m1 * lam * c)
+    return tuple(pieces)
+
+
+HEIGHT_TWO = [CDVField(CDVField(FiniteField(p))) for p in (3, 5)]
+
+
+@pytest.mark.parametrize("k", HEIGHT_TWO, ids=str)
+def test_norm_and_albert_forms_match_class_products(k):
+    classes = sqcl_group(k)
+    symbols = list(product(classes, repeat=2))
+    for a, b in symbols:
+        assert norm_form(a, b, k).entries == _ref_norm_form(a, b, k)
+    for s1, s2 in product(symbols, repeat=2):
+        assert albert_form(s1, s2, k).entries == _ref_albert_form(s1, s2, k)
+
+
+@pytest.mark.parametrize("k", HEIGHT_TWO, ids=str)
+def test_trace_reduction_matches_class_products(k):
+    classes = sqcl_group(k)
+    entries = (tuple(classes), tuple(reversed(classes)))  # every product, both orders
+    for a, b in product(classes, repeat=2):
+        B = BrauerClass(k, ((a, b),))
+        if bc_is_division(B) is not DivisionKind.QUATERNION:
+            continue
+        for e in entries:
+            h = HermFormDesc(B, canonical_involution(), 1, e)
+            assert jacobson_quadratic(h).entries == _ref_jacobson(h)
+            assert reduced_quadratic(h).entries == _ref_jacobson(h)
+
+
+@pytest.mark.parametrize("k", HEIGHT_TWO, ids=str)
+def test_transfer_matches_class_products(k):
+    classes = sqcl_group(k)
+    entries = (tuple(classes), tuple(reversed(classes)))
+    for lam in classes[1:]:
+        for e in entries:
+            h = HermFormDesc(trivial_class(k), unitary_involution(lam), 1, e)
+            assert transfer_quadratic(h).entries == _ref_transfer(h)
+            assert reduced_quadratic(h).entries == _ref_transfer(h)
+
+
+def test_transfer_keeps_symbolic_units():
+    for q in (7, 9):  # -1 is the symbolic class "-1" for q = 3 mod 4
+        k = CDVField(GlobalFunctionField(q))
+        v, w, pi = (parse_class(k, t) for t in ("v", "w", "pi"))
+        for lam in (v, pi, v * pi):
+            h = HermFormDesc(trivial_class(k), unitary_involution(lam), 1,
+                             (one(k), w, v * w * pi))
+            assert transfer_quadratic(h).entries == _ref_transfer(h)

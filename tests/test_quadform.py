@@ -17,6 +17,7 @@ from hermlab.fields import (
     GlobalFunctionField,
     minus_one,
     parse_class,
+    parse_field,
     smallest_nonresidue,
     sqcl_group,
     symbolic,
@@ -225,6 +226,10 @@ def test_gff_base_refused():
     with pytest.raises(UnsupportedFieldError):
         qf_is_isotropic(QuadForm(k, (parse_class(k, "v"),)))
     with pytest.raises(UnsupportedFieldError):
+        qf_is_isotropic(QuadForm(k, ()))
+    with pytest.raises(UnsupportedFieldError):
+        qf_isotropy_path(QuadForm(k, (parse_class(k, "v"),)))
+    with pytest.raises(UnsupportedFieldError):
         u_quadratic(k)
 
 
@@ -265,3 +270,54 @@ def test_plain_decision_formats_no_path_strings(monkeypatch):
     monkeypatch.setattr(quadform, "field_to_str", refuse)
     assert not qf_is_isotropic(anisotropic)
     assert qf_is_isotropic(isotropic)
+
+
+def test_empty_form_anisotropic_at_every_height():
+    for k in (F3, K1, K2, CDVField(CDVField(K2))):
+        assert not qf_is_isotropic(QuadForm(k, ()))
+        assert qf_isotropy_path(QuadForm(k, ())) == (False, [
+            {"field": str(k), "form": "<>", "isotropic": False, "reason": "empty form"}])
+
+
+# The leaf test against the residue recursion it flattens, which
+# `qf_isotropy_path` still runs.  q = 3 mod 4 (F3, F7, CDV towers over
+# them) and q = 1 mod 4 (F5, F3^2) are both covered.
+@pytest.mark.parametrize("text", ["F3", "F5", "F3^2", "CDV(F3)", "CDV(F5)", "CDV(F3^2)",
+                                  "CDV(CDV(F3))", "CDV(CDV(F5))", "CDV(CDV(F7))"])
+def test_leaf_test_matches_residue_recursion_exhaustively(text):
+    k = parse_field(text)
+    classes = sqcl_group(k)
+    for dim in range(7):
+        for entries in combinations_with_replacement(classes, dim):
+            q = QuadForm(k, entries)
+            assert qf_is_isotropic(q) == qf_isotropy_path(q)[0], str(q)
+
+
+def _leaf_biased_form(rng, k, h):
+    """Entries drawn leaf by leaf: most leaves get zero or one entry, so
+    that anisotropic forms are common even at height 4."""
+    masks = []
+    for leaf in range(1 << h):
+        count = rng.choices((0, 1, 2, 3), weights=(45, 45, 8, 2))[0]
+        masks += [leaf << 1 | rng.randrange(2) for _ in range(count)]
+    rng.shuffle(masks)
+    return QuadForm(k, tuple(sqcl_group(k)[m] for m in masks))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("h", [3, 4])
+def test_leaf_test_matches_residue_recursion_on_samples(p, h):
+    k = parse_field("CDV(" * h + f"F{p}" + ")" * h)
+    classes = sqcl_group(k)
+    rng = random.Random(f"leaf-test:{p}:{h}")
+    verdicts = Counter()
+    for i in range(600):
+        if i % 2:
+            q = _leaf_biased_form(rng, k, h)
+        else:
+            q = QuadForm(k, tuple(rng.choice(classes)
+                                  for _ in range(rng.randint(1, 2 ** (h + 1) + 2))))
+        verdict = qf_is_isotropic(q)
+        assert verdict == qf_isotropy_path(q)[0], str(q)
+        verdicts[verdict] += 1
+    assert min(verdicts[True], verdicts[False]) >= 60, verdicts

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from hermlab.brauer import parse_brauer, trivial_class
+from hermlab.brauer import (
+    BrauerClass,
+    DivisionKind,
+    bc_is_division,
+    bc_is_trivial,
+    parse_brauer,
+    trivial_class,
+)
 from hermlab.errors import (
     GapError,
     InvalidExtensionError,
@@ -20,6 +27,7 @@ from hermlab.fields import (
     class_to_str,
     parse_class,
     parse_field,
+    sqcl_group,
 )
 from hermlab.hermitian import canonical_involution, u_search, unitary_involution
 from hermlab.quadform import u_quadratic
@@ -413,3 +421,42 @@ def test_every_division_symbol_over_height_two(p):
             w0 = witness(B, k2, "zero", lam)
             assert w0.rank == 4 and w0.verified
     assert division == 42
+
+
+# height-3 exhaustive checks --------------------------------------------------
+
+K3 = parse_field("CDV(CDV(CDV(F5)))")
+
+
+def test_quadratic_u_at_height_three():
+    assert u_quadratic(K3) == 16
+
+
+def _quaternion_index_classes(k):
+    """One symbol per quaternion-index class: a new symbol is kept unless
+    its sum with a kept one is trivial."""
+    kept = []
+    classes = sqcl_group(k)[1:]
+    for a in classes:
+        for b in classes:
+            B = BrauerClass(k, ((a, b),))
+            if bc_is_division(B) is not DivisionKind.QUATERNION:
+                continue
+            if not any(bc_is_trivial(BrauerClass(k, B.symbols + C.symbols)) for C in kept):
+                kept.append(B)
+    return kept
+
+
+def test_shape_a_search_matches_recursion_at_height_three():
+    classes = _quaternion_index_classes(K3)
+    assert len(classes) == 35
+    for B in classes:
+        assert u_search(B, canonical_involution(), 1, K3) == u_exact(B, "minus").value, str(B)
+
+
+def test_shape_b_search_matches_recursion_at_height_three():
+    lams = sqcl_group(K3)[1:]
+    assert len(lams) == 15
+    for lam in lams:
+        assert (u_search(trivial_class(K3), unitary_involution(lam), 1, K3)
+                == u_exact(trivial_class(K3), "zero", lam).value), class_to_str(lam)
