@@ -55,6 +55,7 @@ from .brauer import (
     bc_base_change,
     bc_is_division,
     bc_is_trivial,
+    bc_key,
     bc_ramification,
     bc_single_symbol_rep,
     classify_unitary_case,

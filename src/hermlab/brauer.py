@@ -1,11 +1,12 @@
 """Period-two Brauer classes as lists of quaternion symbols.
 
-Over a valued layer every symbol separates into an unramified residue
-symbol and a character of the residue field: with slots a = s*pi^i and
-b = t*pi^j the character contribution is s^j * t^i * (-1)^(i*j) and the
-residue symbol is (s, t).  Triviality is decided recursively from that
-data; the norm-form test gives a second route for single symbols and the
-two must agree everywhere.
+Over a finite-based tower of height h, with e_0 = u and e_i the depth-i
+uniformizer, the symbols (e_i, e_j), i < j, are a basis of the Brauer
+two-torsion (Witt 1937; Tignol-Wadsworth, Value Functions on Simple
+Algebras, 2015).  A class's key is its coordinates in that basis: the
+class is trivial iff the key is zero, and its single-symbol representative
+is looked up by key.  The residue character and residue class over a
+valued layer, which the unitary cases read, come from `bc_ramification`.
 
 Division testing covers classes with at most two symbols.  Symbol lists
 are representations, not canonical forms, and every predicate here is
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import (
     EngineError,
@@ -28,18 +30,16 @@ from .errors import (
 from .fields import (
     CDVField,
     FieldDesc,
-    FiniteField,
-    GlobalFunctionField,
     SquareClass,
     TransitionMap,
+    base_field,
     class_to_str,
-    from_parts,
+    height,
     is_finite_based,
     minus_one,
     one,
     parse_class,
     quadratic_extension,
-    sqcl_group,
     transport,
 )
 from .quadform import albert_form, norm_form, qf_is_isotropic
@@ -117,19 +117,36 @@ def bc_ramification(B: BrauerClass) -> RamificationData:
     return RamificationData(character, BrauerClass(res, tuple(residue_symbols)))
 
 
-def bc_is_trivial(B: BrauerClass) -> bool:
-    """Recursive residue test: trivial iff the character is trivial and the
-    residue class is.  The Brauer two-torsion of a finite field vanishes."""
+def _symbol_key(a: int, b: int, h: int, m1: int) -> int:
+    """Key of the symbol of two class masks over a tower of height h: bit
+    i*(h+1) + j, for i < j, is the coordinate of (e_i, e_j)."""
+    key = a & b & ~1 if m1 else 0  # (e_i, e_i) = (e_i, -1) = (e_0, e_i)
+    for i in range(h):
+        row = (b if a >> i & 1 else 0) ^ (a if b >> i & 1 else 0)
+        key ^= (row & -(2 << i)) << (i * (h + 1))
+    return key
+
+
+def bc_key(B: BrauerClass) -> int:
+    """A class's coordinates in the symbol basis: its symbols' keys XORed."""
     k = B.field
-    if isinstance(k, FiniteField):
+    if not is_finite_based(k):
+        raise UnsupportedFieldError("Brauer keys need a finite-based tower")
+    h, m1 = height(k), base_field(k).minus_one_bit
+    key = 0
+    for a, b in B.symbols:
+        key ^= _symbol_key(a.data, b.data, h, m1)
+    return key
+
+
+def bc_is_trivial(B: BrauerClass) -> bool:
+    """Trivial iff the key is zero; over a GFF base, iff no symbol is effective."""
+    if not is_finite_based(B.field):
+        if B.effective_symbols:
+            raise UnsupportedFieldError("triviality over a global-function-field "
+                                        "base is not computable")
         return True
-    if isinstance(k, GlobalFunctionField):
-        if not B.effective_symbols:
-            return True
-        raise UnsupportedFieldError("triviality over a global-function-field "
-                                    "base is not computable")
-    ram = bc_ramification(B)
-    return ram.character.is_one and bc_is_trivial(ram.residue_class)
+    return not bc_key(B)
 
 
 class DivisionKind(str, Enum):
@@ -156,47 +173,33 @@ def bc_is_division(B: BrauerClass) -> DivisionKind:
         return DivisionKind.QUATERNION
     if not qf_is_isotropic(albert_form(syms[0], syms[1], B.field)):
         return DivisionKind.BIQUATERNION
-    if bc_is_trivial(B):
-        return DivisionKind.SPLIT
-    return DivisionKind.QUATERNION
+    return DivisionKind.SPLIT if bc_is_trivial(B) else DivisionKind.QUATERNION
+
+
+@lru_cache(maxsize=16)
+def _single_symbol_table(k: CDVField) -> dict:
+    """Key -> the first mask pair with that key, a outer and b inner."""
+    n, h, m1 = 2 << height(k), height(k), base_field(k).minus_one_bit
+    table = {}
+    for a in range(n):
+        for b in range(n):
+            table.setdefault(_symbol_key(a, b, h, m1), (a, b))
+    return table
 
 
 def bc_single_symbol_rep(B: BrauerClass):
-    """A symbol (a, b) equivalent to a class of index at most two over a
-    valued layer: the first pair in ``sqcl_group`` order, a outer and b
-    inner, for which B + (a, b) is trivial.  For a split class that is the
-    pair of trivial classes.  Derivations and witnesses print it, so that
-    choice is part of the contract.
-
-    The search ramifies B once: with a = s*pi^i and b = t*pi^j the pair
-    adds s^j * t^i * (-1)^(ij) to B's character and (s, t) to its residue
-    class, so only pairs that clear the character reach the residue test.
-    It finds no pair exactly when B has biquaternion index.
-    """
+    """The first symbol (a, b) with B's key, so that B + (a, b) is trivial,
+    for B of index at most two over a valued layer.  Derivations and
+    witnesses print it, so that choice is part of the contract."""
     k = B.field
-    ram = bc_ramification(B)
-    res = k.residue
-    units = sqcl_group(res)
-    m1 = minus_one(res)
-    base = ram.residue_class.symbols
-    for a in sqcl_group(k):
-        s, i = a.decompose()
-        # b = t*pi^j clears the character iff t^i = character * s^j * (-1)^(ij);
-        # sqcl_group lists every b with j = 0 first, each parity in `units` order.
-        needs = (ram.character, ram.character * (s * m1 if i else s))
-        for j, need in enumerate(needs):
-            if i:
-                candidates = (need,)
-            elif need.is_one:
-                candidates = units
-            else:
-                continue
-            for t in candidates:
-                extra = ((s, t),) if not s.is_one and not t.is_one else ()
-                if bc_is_trivial(BrauerClass(res, base + extra)):
-                    return (a, from_parts(k, t, j))
-    raise UnsupportedClassError("single-symbol representatives exist for "
-                                "classes of index at most two only")
+    if not isinstance(k, CDVField):
+        raise UnsupportedFieldError("single-symbol representatives need a valued layer")
+    key = bc_key(B)
+    pair = _single_symbol_table(k).get(key)
+    if pair is None:
+        raise UnsupportedClassError("single-symbol representatives exist for "
+                                    "classes of index at most two only")
+    return SquareClass(k, pair[0]), SquareClass(k, pair[1])
 
 
 def bc_base_change(B: BrauerClass, m: TransitionMap) -> BrauerClass:

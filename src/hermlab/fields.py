@@ -255,15 +255,11 @@ def uniformizer(k: FieldDesc) -> SquareClass:
     return SquareClass(k, 1 << height(k))
 
 
-def from_parts(k: CDVField, unit: SquareClass, vpar: int) -> SquareClass:
-    if unit.field != k.residue:
-        raise FieldMismatchError("unit part must live over the residue field")
-    return SquareClass(k, unit.data | (vpar & 1) << height(k), unit.names)
-
-
 def lift(k: CDVField, residue_class: SquareClass) -> SquareClass:
     """Unit lift of a residue class into the valued layer."""
-    return from_parts(k, residue_class, 0)
+    if residue_class.field != k.residue:
+        raise FieldMismatchError("unit part must live over the residue field")
+    return SquareClass(k, residue_class.data, residue_class.names)
 
 
 def symbolic(k: GlobalFunctionField, *names: str) -> SquareClass:

@@ -95,9 +95,14 @@ class HermFormDesc:
         return len(self.entries)
 
     @cached_property
+    def division(self):
+        """`morita_reduce` of the algebra, decided once per descriptor."""
+        return morita_reduce(self.algebra)
+
+    @cached_property
     def shape(self) -> str:
         if (self.involution.kind == "symplectic" and self.eps == 1
-                and bc_is_division(self.algebra) == DivisionKind.QUATERNION):
+                and self.division[0] is DivisionKind.QUATERNION):
             return "a"
         if self.involution.kind == "unitary" and not self.algebra.effective_symbols:
             return "b"
@@ -106,13 +111,13 @@ class HermFormDesc:
 
 def reduced_quadratic(h: HermFormDesc) -> QuadForm:
     """The quadratic form whose isotropy decides that of h: its entries
-    tensored, entry-major, with the norm form of the symbol (shape a) or
-    with <1, -lam> (shape b).  The descriptor has checked every field, so
-    no product checks one again."""
+    tensored, entry-major, with the norm form of the algebra's one symbol
+    (shape a) or with <1, -lam> (shape b).  The descriptor has checked
+    every field, so no product checks one again."""
     shape = h.shape
     k = h.algebra.field
     if shape == "a":
-        a, b = h.algebra.effective_symbols[0]
+        a, b = h.division[1].symbols[0]
         template = norm_form(a, b, k).entries
     elif shape == "b":
         template = (one(k), minus_one(k) * h.involution.lam)

@@ -167,10 +167,6 @@ def _is_square(pair, p: int) -> bool:
     return v % 2 == 0 and legendre(u, p) == 1
 
 
-def is_square_rational(x: Fraction, p: int) -> bool:
-    return _is_square(_valuation_unit(Fraction(x), p), p)
-
-
 def rational_lift(a: SquareClass) -> Fraction:
     """Concrete rational representative of a class over the height-one tower."""
     k = a.field

@@ -233,12 +233,12 @@ def _walk(B: BrauerClass, kind: UKind, lam, assertions):
             raise FieldMismatchError("extension class over the wrong field")
         if lam.is_one:
             raise InvalidExtensionError("the trivial class defines no quadratic extension")
-        category = _category(B)
-        return _unitary(B, lam, assertions, category=category), category
-    if lam is not None:
+    elif lam is not None:
         raise InvalidExtensionError("first-kind values take no extension class")
     category = _category(B)
-    return _first_kind(B, kind, assertions, category), category
+    step = (_unitary(B, lam, assertions, category=category) if kind is UKind.ZERO
+            else _first_kind(B, kind, assertions, category))
+    return step, category
 
 
 def _category(B: BrauerClass):
@@ -354,9 +354,6 @@ def _first_kind(B: BrauerClass, kind: UKind, assertions,
     if isinstance(k, GlobalFunctionField):
         return _gff_leaf(fl, index, kind, cl, assertions)
 
-    if index is DivisionKind.SPLIT:
-        return _double("unramified-double", k, cl, kind,
-                       _first_kind(trivial_class(k.residue), kind, assertions))
     ram = bc_ramification(Bn)
     if ram.character.is_one:
         return _double("unramified-double", k, cl, kind,

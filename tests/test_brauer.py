@@ -1,6 +1,7 @@
 """Brauer class predicates, ramification data and the case classifier."""
 
-from itertools import combinations, islice, product
+from collections import Counter
+from itertools import chain, combinations, combinations_with_replacement, islice, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from hermlab.brauer import (
     bc_extended_index,
     bc_is_division,
     bc_is_trivial,
+    bc_key,
     bc_ramification,
     bc_single_symbol_rep,
     classify_unitary_case,
@@ -120,15 +122,60 @@ def test_single_symbol_rep_is_minimal_and_equivalent():
         tuple(parse_brauer(K1, "(u,pi)").symbols[0])
 
 
+def _is_trivial_by_residues(B):
+    """Reference triviality, the residue recursion on `bc_ramification`: a
+    class over a valued layer is trivial iff its character is and its
+    residue class is, and a finite field has no Brauer two-torsion."""
+    if isinstance(B.field, FiniteField):
+        return True
+    ram = bc_ramification(B)
+    return ram.character.is_one and _is_trivial_by_residues(ram.residue_class)
+
+
 def _first_trivialising_pair(B):
     """Reference search: every square-class pair in order, each tested by
     re-ramifying the whole class B + (a, b)."""
     classes = sqcl_group(B.field)
     for a in classes:
         for b in classes:
-            if bc_is_trivial(BrauerClass(B.field, B.symbols + ((a, b),))):
+            if _is_trivial_by_residues(BrauerClass(B.field, B.symbols + ((a, b),))):
                 return (a, b)
     return None
+
+
+def _symbol_lists(k, stride):
+    """Every stride-th list of one or two symbols over k, up to order."""
+    symbols = list(product(sqcl_group(k), repeat=2))
+    lists = chain(((s,) for s in symbols), combinations_with_replacement(symbols, 2))
+    for syms in islice(lists, 0, None, stride):
+        yield BrauerClass(k, syms)
+
+
+def _tower(base, h):
+    k = parse_field(base)
+    for _ in range(h):
+        k = CDVField(k)
+    return k
+
+
+@pytest.mark.parametrize("base", ["F3", "F5", "F7", "F3^2"])
+@pytest.mark.parametrize("h,stride", [(1, 1), (2, 1), (3, 97), (4, 1543)])
+def test_key_triviality_matches_the_residue_recursion(base, h, stride):
+    k = _tower(base, h)
+    for B in _symbol_lists(k, stride):
+        assert bc_is_trivial(B) == _is_trivial_by_residues(B), str(B)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_index_is_a_function_of_the_key(p):
+    for h, keys in ((1, 2), (2, 8), (3, 64)):
+        index_of = {}
+        for B in _symbol_lists(_tower(f"F{p}", h), 1 if h < 3 else 3):
+            index = bc_is_division(B)
+            assert index_of.setdefault(bc_key(B), index) is index, str(B)
+        assert len(index_of) == keys
+    assert Counter(index_of.values()) == {
+        DivisionKind.SPLIT: 1, DivisionKind.QUATERNION: 35, DivisionKind.BIQUATERNION: 28}
 
 
 def _two_symbol_classes(k, stride):
@@ -280,8 +327,10 @@ def test_gff_triviality_only_for_degenerate_lists():
     kg = CDVField(g)
     assert bc_is_trivial(trivial_class(kg))
     assert bc_is_trivial(parse_brauer(kg, "(1,v)"))
-    with pytest.raises(UnsupportedFieldError):
+    with pytest.raises(UnsupportedFieldError, match="triviality"):
         bc_is_trivial(parse_brauer(kg, "(a,b)"))
+    with pytest.raises(UnsupportedFieldError):
+        bc_key(trivial_class(kg))
 
 
 def test_ramification_needs_valued_layer():

@@ -126,6 +126,16 @@ def test_usearch(capsys):
     assert code == 0 and payload["u"] == 2
 
 
+def test_usearch_shape_a_reduces_a_two_symbol_class(capsys):
+    # (u,u);(u,pi) is the class of (u,pi): u = 1, and <1> is anisotropic
+    code, payload, _ = run_json(capsys, "usearch", "--shape", "a", "--field",
+                                "CDV(F5)", "--class", "(u,u);(u,pi)")
+    assert code == 0 and payload["u"] == 1
+    code, payload, _ = run_json(capsys, "isotropy", "herm", "--field", "CDV(F5)",
+                                "--class", "(u,u);(u,pi)", "--canonical", "--form", "1")
+    assert code == 0 and payload["isotropic"] is False
+
+
 def test_uinv_exact_json_includes_derivation(capsys):
     code, payload, _ = run_json(
         capsys, "uinv", "exact", "--field", "CDV(CDV(F5))", "--class", "(u,t)",

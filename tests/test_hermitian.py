@@ -1,6 +1,6 @@
 """Hermitian descriptors, reductions and exhaustive searches."""
 
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from hermlab.fields import (
     minus_one,
     one,
     parse_class,
+    parse_field,
     sqcl_group,
 )
 from hermlab.hermitian import (
@@ -65,6 +66,22 @@ def test_morita_reduction():
     for C in (split, B, padded, two, parse_brauer(K2, "(u,t);(p,u*t)")):
         index, reduced = morita_reduce(C)
         assert index == bc_is_division(C) == bc_is_division(reduced)
+
+
+@pytest.mark.parametrize("field,stride,expected", [
+    ("CDV(F3)", 1, 36), ("CDV(F5)", 1, 36), ("CDV(CDV(F3))", 7, 300)])
+def test_shape_a_reduces_two_symbol_classes_first(field, stride, expected):
+    k = parse_field(field)
+    symbols = list(product(sqcl_group(k)[1:], repeat=2))
+    checked = 0
+    for pair in islice(product(symbols, repeat=2), 0, None, stride):
+        B = BrauerClass(k, pair)
+        index, reduced = morita_reduce(B)
+        if index is DivisionKind.QUATERNION:
+            assert u_search(B, canonical_involution(), 1, k) == \
+                u_search(reduced, canonical_involution(), 1, k), str(B)
+            checked += 1
+    assert checked == expected
 
 
 def test_trace_reduction_examples():

@@ -19,6 +19,7 @@ from hermlab.fields import (
     parse_class,
     parse_field,
     smallest_nonresidue,
+    split_valuation,
     sqcl_group,
     symbolic,
 )
@@ -28,7 +29,6 @@ from hermlab.quadform import (
     _valuation_unit,
     albert_form,
     hilbert_symbol,
-    is_square_rational,
     max_anisotropic_rank,
     norm_form,
     qf_is_isotropic,
@@ -180,13 +180,13 @@ def test_search_cap_stops_a_predicate_that_never_turns_isotropic():
 
 def test_square_test_rejects_zero():
     def timeout(signum, frame):
-        raise TimeoutError("is_square_rational(0, 5) did not return")
+        raise TimeoutError("split_valuation(0, 5) did not return")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(5)
     try:
         with pytest.raises(ValueError):
-            is_square_rational(0, 5)
+            split_valuation(Fraction(0), 5)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
