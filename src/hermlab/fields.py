@@ -302,9 +302,9 @@ def smallest_nonresidue(p: int) -> int:
     raise EngineError(f"no nonresidue found mod {p}")  # pragma: no cover
 
 
-def split_valuation(x: Fraction, p: int):
+def split_valuation(x, p: int):
     """(v, num, den) with x = p**v * num/den and p dividing neither num nor
-    den; x must be nonzero."""
+    den; x must be a nonzero rational (int or Fraction)."""
     if x == 0:
         raise ValueError("zero has no valuation")
     v = 0
@@ -324,7 +324,8 @@ def class_of_rational(k: FieldDesc, x) -> SquareClass:
     Rationals sit inside every valued layer as units with respect to the
     outer uniformizers; only the innermost layer sees the p-valuation.
     """
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         raise ValueError("zero has no square class")
     base = base_field(k)

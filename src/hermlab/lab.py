@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import EngineError, UnsupportedShapeError
 from .fields import (
     CDVField,
     FiniteField,
+    SquareClass,
     class_of_rational,
     smallest_nonresidue,
     split_valuation,
@@ -75,11 +76,14 @@ class LabAlgebra:
     def tower(self) -> CDVField:
         return CDVField(FiniteField(self.p))
 
-    def is_division(self) -> bool:
+    @cached_property
+    def norm_classes(self) -> tuple:
+        """Square classes of the norm form <1, -a, -b, ab>, over ``tower()``."""
         k = self.tower()
-        entries = (Fraction(1), -self.a, -self.b, self.a * self.b)
-        form = QuadForm(k, tuple(class_of_rational(k, c) for c in entries))
-        return not qf_is_isotropic(form)
+        return tuple(class_of_rational(k, c) for c in (1, -self.a, -self.b, self.a * self.b))
+
+    def is_division(self) -> bool:
+        return not qf_is_isotropic(QuadForm(self.tower(), self.norm_classes))
 
 
 def standard_algebra(p: int) -> LabAlgebra:
@@ -507,9 +511,9 @@ def jacobson_verdict(scalars, alg: LabAlgebra) -> bool:
     """Isotropy of a scalar-entry form over the canonical involution,
     through the norm-form tensor reduction and the symbolic decider."""
     k = alg.tower()
-    norm_entries = (Fraction(1), -alg.a, -alg.b, alg.a * alg.b)
-    classes = tuple(class_of_rational(k, Fraction(c) * n)
-                    for c in scalars for n in norm_entries)
+    # Square classes multiply, so the class of c*n is the XOR of their masks.
+    masks = [class_of_rational(k, c).data for c in scalars]
+    classes = tuple(SquareClass(k, m ^ n.data) for m in masks for n in alg.norm_classes)
     form = QuadForm(k, classes)
     verdict = qf_is_isotropic(form)
     oracle = qf_is_isotropic_oracle(form)

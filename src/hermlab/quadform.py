@@ -5,7 +5,7 @@ every layer at once, ends in leaves (the entries sharing ``mask >> 1``),
 and a form is isotropic exactly when one of its leaves is.  The residue
 recursion that this flattens logs the `isotropy quad` path.  Over the
 height-one tower a second, fully independent decider checks the same
-question from concrete rational representatives through classical
+question from integer lifts, one per class, through classical
 dimension / discriminant / Hasse-symbol criteria, so the two paths can be
 compared form by form.
 """
@@ -13,7 +13,7 @@ compared form by form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from .errors import EngineError, FieldMismatchError, UnsupportedFieldError
 from .fields import (
@@ -140,8 +140,9 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _valuation_unit(x: Fraction, p: int):
-    """x = p**v * unit; returns (v, the unit mod p)."""
+def _valuation_unit(x, p: int):
+    """x = p**v * unit for x a nonzero rational (int or Fraction); returns
+    (v, the unit mod p)."""
     v, num, den = split_valuation(x, p)
     return v, num * pow(den, p - 2, p) % p
 
@@ -167,24 +168,20 @@ def _is_square(pair, p: int) -> bool:
     return v % 2 == 0 and legendre(u, p) == 1
 
 
-def rational_lift(a: SquareClass) -> Fraction:
-    """Concrete rational representative of a class over the height-one tower."""
-    k = a.field
-    if not (isinstance(k, CDVField) and isinstance(k.residue, FiniteField)
-            and k.residue.e == 1):
-        raise UnsupportedFieldError("rational lifts exist over the height-one tower only")
-    p = k.residue.p
-    value = Fraction(smallest_nonresidue(p) if a.data & 1 else 1)
-    if a.data & 2:
-        value *= p
-    return value
+# Four masks per prime: the same primes as smallest_nonresidue's memo.
+@lru_cache(maxsize=4 * 64)
+def _lift_pair(p: int, data: int):
+    """(valuation, unit mod p) of the integer lift of mask ``data`` over
+    the height-one tower at p: u**(data & 1) * p**(data >> 1 & 1), with u
+    the least positive nonresidue."""
+    return _valuation_unit(smallest_nonresidue(p) ** (data & 1) * p ** (data >> 1 & 1), p)
 
 
 def qf_is_isotropic_oracle(q: QuadForm) -> bool:
     """Classical criterion from dimension, discriminant and Hasse symbol.
 
-    Shares no code with the residue recursion: entries are lifted to
-    actual rationals, each lift is split once into its valuation and its
+    Shares no code with the residue recursion: each class is lifted to an
+    actual integer, each lift is split once into its valuation and its
     unit mod p, and all invariants are computed from those pairs with
     Legendre symbols.
     """
@@ -194,7 +191,7 @@ def qf_is_isotropic_oracle(q: QuadForm) -> bool:
         raise UnsupportedFieldError("the invariant decider runs over the "
                                     "height-one tower only")
     p = k.residue.p
-    pairs = [_valuation_unit(rational_lift(a), p) for a in q.entries]
+    pairs = [_lift_pair(p, a.data) for a in q.entries]
     n = len(pairs)
     if n <= 1:
         return False

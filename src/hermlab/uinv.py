@@ -483,16 +483,27 @@ def _abc_closed(n: int):
             Fraction(1, 5) + Fraction(3, 10) * r)
 
 
+# The recursion's states (a, b, c) by index, filled on first use and kept up
+# to _ABC_KEPT, so ascending indices take one step each.  An index is only
+# ever written with its one value, so the keys stay 1..len(_abc_states).
+_ABC_KEPT = 64
+_abc_states = {}
+
+
 def sequence_abc_recursive(n: int) -> ABCSequence:
-    """Evaluate the triple through its recursions from the base index."""
+    """Evaluate the triple through its recursions from the base index,
+    extending the longest state already computed."""
     if n < 1:
         raise ValueError("index must be >= 1")
-    a, b, c = _abc_closed(1)
-    for _ in range(n - 1):
-        a_next = Fraction(3, 4) * a + c
-        b_next = Fraction(3, 2) * b + Fraction(1, 2) * c
-        a, b = a_next, b_next
+    if not _abc_states:
+        _abc_states[1] = _abc_closed(1)
+    start = min(n, len(_abc_states))
+    a, b, c = _abc_states[start]
+    for m in range(start + 1, n + 1):
+        a, b = Fraction(3, 4) * a + c, Fraction(3, 2) * b + Fraction(1, 2) * c
         c = Fraction(1, 2) * a + b
+        if m <= _ABC_KEPT:
+            _abc_states[m] = (a, b, c)
     return ABCSequence(n, a, b, c)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlab.errors import EngineError, UnsupportedShapeError
+from hermlab.fields import class_of_rational
 from hermlab.lab import (
     LabAlgebra,
     QuaternionElt,
@@ -30,6 +31,7 @@ from hermlab.lab import (
     vp,
     w_value,
 )
+from hermlab.quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle
 
 ALG = standard_algebra(5)
 
@@ -353,6 +355,41 @@ def test_decomposition_matches_trace_reduction_randomized():
         assert verdict == jacobson_verdict(scalars, ALG)
         agreements += 1
     assert agreements == 120
+
+
+def _norm_entries(alg):
+    return (Fraction(1), -alg.a, -alg.b, alg.a * alg.b)
+
+
+def _fraction_product_form(scalars, alg):
+    """Reference trace-reduction form: each product c*n of a scalar and a
+    norm-form entry formed as a Fraction and classed on its own."""
+    k = alg.tower()
+    return QuadForm(k, tuple(class_of_rational(k, Fraction(c) * n)
+                             for c in scalars for n in _norm_entries(alg)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_jacobson_verdict_matches_the_fraction_product_form(p):
+    rng = random.Random(7000 + p)
+    alg = standard_algebra(p)
+    for _ in range(200):
+        rank, scalars = rng.randint(1, 3), []
+        while len(scalars) < rank:
+            m = rng.randint(-20, 20)
+            if m % p:
+                scalars.append(Fraction(m * p ** rng.randint(0, 2)))
+        ref = _fraction_product_form(scalars, alg)
+        verdict = jacobson_verdict(scalars, alg)
+        assert verdict == qf_is_isotropic(ref) == qf_is_isotropic_oracle(ref), scalars
+
+
+@pytest.mark.parametrize("alg", [standard_algebra(p) for p in (3, 5, 7, 11, 13)]
+                         + LATTICE_ALGEBRAS + [LabAlgebra(Fraction(1), Fraction(5), 5)])
+def test_is_division_matches_the_fraction_norm_form(alg):
+    k = alg.tower()
+    ref = QuadForm(k, tuple(class_of_rational(k, c) for c in _norm_entries(alg)))
+    assert alg.is_division() == (not qf_is_isotropic(ref))
 
 
 def test_decomposition_verdict_independent_of_parameter():

@@ -15,6 +15,7 @@ from hermlab.fields import (
     CDVField,
     FiniteField,
     GlobalFunctionField,
+    SquareClass,
     minus_one,
     parse_class,
     parse_field,
@@ -26,6 +27,7 @@ from hermlab.fields import (
 from hermlab.hermitian import HermFormDesc, canonical_involution, herm_is_isotropic
 from hermlab.quadform import (
     QuadForm,
+    _is_square,
     _valuation_unit,
     albert_form,
     hilbert_symbol,
@@ -87,6 +89,60 @@ def test_oracle_equivalence_all_small_forms(p):
         for entries in product(classes, repeat=dim):
             q = QuadForm(k, entries)
             assert qf_is_isotropic(q) == qf_is_isotropic_oracle(q), str(q)
+
+
+def _rational_lift(a):
+    """Reference lift, one Fraction per entry: the oracle's former lift."""
+    k = a.field
+    if not (isinstance(k, CDVField) and isinstance(k.residue, FiniteField)
+            and k.residue.e == 1):
+        raise UnsupportedFieldError("rational lifts exist over the height-one tower only")
+    p = k.residue.p
+    value = Fraction(smallest_nonresidue(p) if a.data & 1 else 1)
+    if a.data & 2:
+        value *= p
+    return value
+
+
+def _oracle_by_fraction_lifts(q):
+    """Reference invariant decider on Fraction lifts: the oracle before
+    it lifted each class once."""
+    k = q.field
+    if not (isinstance(k, CDVField) and isinstance(k.residue, FiniteField)
+            and k.residue.e == 1):
+        raise UnsupportedFieldError("the invariant decider runs over the "
+                                    "height-one tower only")
+    p = k.residue.p
+    pairs = [_valuation_unit(_rational_lift(a), p) for a in q.entries]
+    n = len(pairs)
+    if n <= 1:
+        return False
+    v, u = 0, 1
+    for w, c in pairs:
+        v, u = v + w, u * c % p
+    minus_d, neg_one = (v, -u % p), (0, p - 1)
+    eps = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            eps *= hilbert_symbol(pairs[i], pairs[j], p)
+    if n == 2:
+        return _is_square(minus_d, p)
+    if n == 3:
+        return eps == hilbert_symbol(neg_one, minus_d, p)
+    if n == 4:
+        return (not _is_square((v, u), p)) or eps == hilbert_symbol(neg_one, neg_one, p)
+    return True
+
+
+def test_oracle_matches_the_fraction_lift_reference():
+    # The primes alternate form by form, so a lift keyed on the mask alone
+    # would answer one prime with another's lift.
+    fields = [CDVField(FiniteField(p)) for p in (3, 5, 7, 11, 13)]
+    for dim in range(1, 6):
+        for masks in product(range(4), repeat=dim):
+            for k in fields:
+                q = QuadForm(k, tuple(SquareClass(k, m) for m in masks))
+                assert qf_is_isotropic_oracle(q) == _oracle_by_fraction_lifts(q), str(q)
 
 
 def test_finite_base_agreement_with_vector_search():

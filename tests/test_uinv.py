@@ -305,6 +305,14 @@ def test_sequence_closed_form_and_recursion_agree():
         sequence_abc(0)
 
 
+def test_sequence_recursion_agrees_in_any_order():
+    # The recursion resumes from kept states: ask out of order and past the
+    # last kept index.
+    for n in (90, 3, 64, 65, 1, 200, 40):
+        closed, rec = sequence_abc(n), sequence_abc_recursive(n)
+        assert (closed.a, closed.b, closed.c) == (rec.a, rec.b, rec.c)
+
+
 def test_sequence_values():
     s1 = sequence_abc(1)
     assert (s1.a, s1.b, s1.c) == (Fraction(5, 4), Fraction(1, 4), Fraction(7, 8))
