@@ -13,9 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +30,7 @@ from .errors import (
     UnsupportedFieldError,
     UnsupportedShapeError,
 )
-from .fields import parse_class, parse_field, sqcl_group
+from .fields import parse_class, parse_field
 from .hermitian import (
     HermFormDesc,
     canonical_involution,
@@ -44,7 +42,6 @@ from .hermitian import (
 from .lab import (
     LabAlgebra,
     QuaternionElt,
-    basis_j,
     choose_pid,
     choose_sigma,
     gamma_involution,
@@ -53,16 +50,8 @@ from .lab import (
     scalar,
     standard_algebra,
 )
-from .quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle, qf_isotropy_path
-from .uinv import (
-    bounds_ai,
-    bounds_tensor,
-    expected_table,
-    sequence_abc,
-    tensor_comparison_bound,
-    u_exact,
-    witness,
-)
+from .quadform import QuadForm, qf_is_isotropic_oracle, qf_isotropy_path
+from .uinv import bounds_ai, bounds_tensor, expected_table, u_exact, witness
 
 _USAGE_EXIT = 1
 _VERIFY_EXIT = 2
@@ -90,6 +79,7 @@ def build_parser() -> _Parser:
     quad.add_argument("--oracle", action="store_true",
                       help="also run the invariant-based decider (height-one towers)")
     quad.add_argument("--json", action="store_true")
+    quad.set_defaults(run=_run_isotropy_quad)
     herm = iso_sub.add_parser("herm")
     herm.add_argument("--field", required=True)
     herm.add_argument("--class", dest="brauer", default="1")
@@ -100,6 +90,7 @@ def build_parser() -> _Parser:
                       help="unitary involution over k(sqrt(lambda))")
     herm.add_argument("--form", required=True)
     herm.add_argument("--json", action="store_true")
+    herm.set_defaults(run=_run_isotropy_herm)
 
     usearch = sub.add_parser("usearch", help="u-invariant by exhaustive search")
     usearch.add_argument("--shape", required=True, choices=("a", "b"))
@@ -108,6 +99,7 @@ def build_parser() -> _Parser:
     usearch.add_argument("--lambda", dest="lam", default=None)
     usearch.add_argument("--eps", default="+1", choices=("+1", "-1", "1"))
     usearch.add_argument("--json", action="store_true")
+    usearch.set_defaults(run=_run_usearch)
 
     uinv = sub.add_parser("uinv", help="exact u-invariants with derivations")
     uinv_sub = uinv.add_subparsers(dest="what", required=True)
@@ -120,6 +112,7 @@ def build_parser() -> _Parser:
                        default=[], metavar="TOKEN")
     exact.add_argument("--witness", action="store_true")
     exact.add_argument("--json", action="store_true")
+    exact.set_defaults(run=_run_uinv_exact)
 
     bounds = sub.add_parser("bounds", help="bound formulas")
     bounds_sub = bounds.add_subparsers(dest="what", required=True)
@@ -128,10 +121,12 @@ def build_parser() -> _Parser:
     ai.add_argument("--d", type=int, default=2)
     ai.add_argument("--kind", default="first", choices=("first", "second"))
     ai.add_argument("--json", action="store_true")
+    ai.set_defaults(run=_run_bounds_ai)
     tensor = bounds_sub.add_parser("tensor")
     tensor.add_argument("--n", type=int, required=True)
     tensor.add_argument("--uk", required=True)
     tensor.add_argument("--json", action="store_true")
+    tensor.set_defaults(run=_run_bounds_tensor)
 
     lab = sub.add_parser("lab", help="concrete element checks")
     lab_sub = lab.add_subparsers(dest="what", required=True)
@@ -141,6 +136,7 @@ def build_parser() -> _Parser:
     pid.add_argument("--sigma", default="inti-gamma", choices=("inti-gamma", "gamma"))
     pid.add_argument("--t", default="j")
     pid.add_argument("--json", action="store_true")
+    pid.set_defaults(run=_run_lab_pid)
     larmour = lab_sub.add_parser("larmour")
     larmour.add_argument("--p", type=int, required=True)
     larmour.add_argument("--symbol", default=None)
@@ -148,6 +144,7 @@ def build_parser() -> _Parser:
     larmour.add_argument("--t", default="j")
     larmour.add_argument("--form", required=True, help="comma-separated scalar entries")
     larmour.add_argument("--json", action="store_true")
+    larmour.set_defaults(run=_run_lab_larmour)
 
     verify = sub.add_parser("verify", help="reproduce the published values")
     verify.add_argument("subject", choices=("paper",))
@@ -157,6 +154,8 @@ def build_parser() -> _Parser:
                         help="run one section: uquad, oracle, local, completion, "
                              "unitary, gff, descent, bounds, sequence, lab")
     verify.add_argument("--json", action="store_true")
+    # looks verify_paper up per call: the parser is cached, the name may be rebound
+    verify.set_defaults(run=lambda args: verify_paper(args.p, args.q, args.only, args.json))
     return parser
 
 
@@ -408,102 +407,22 @@ def _run_lab_larmour(args) -> int:
 # verification suite
 
 def _verify_rows(p: int, q: int, only=None):
-    rows = []
-
-    def add(section, instance, expected, computed, source):
-        if only and section != only:
-            return
-        rows.append({
-            "section": section, "instance": instance,
-            "expected": repr(expected), "computed": repr(computed),
-            "source": source, "ok": expected == computed,
-        })
-
     table = expected_table(p, q)
     sections = {e.section for e in table}
-    for entry in table:
-        if only and entry.section != only:
-            continue
+    if only is not None and only not in sections:
+        raise ParseError(f"unknown section {only!r}; pick one of "
+                         f"{', '.join(sorted(sections))}")
+    rows = []
+    for entry in [e for e in table if only in (None, e.section)]:
         try:
             computed = entry.compute()
         except HermlabError as exc:
-            add(entry.section, entry.instance, entry.expected,
-                f"error: {exc}", entry.source)
-            continue
-        add(entry.section, entry.instance, entry.expected, computed, entry.source)
-
-    if only in (None, "oracle"):
-        k1 = parse_field(f"CDV(F{p})")
-        classes = sqcl_group(k1)
-        disagreements = 0
-        total = 0
-        for dim in range(1, 6):
-            for entries in itertools.product(classes, repeat=dim):
-                form = QuadForm(k1, entries)
-                total += 1
-                if qf_is_isotropic(form) != qf_is_isotropic_oracle(form):
-                    disagreements += 1
-        add("oracle", f"residue decider vs invariant decider on {total} forms",
-            0, disagreements, "two independent paths")
-
-    if only in (None, "sequence"):
-        broken = []
-        prev = sequence_abc(1)
-        for n in range(1, 21):
-            cur = sequence_abc(n)
-            if cur.c != Fraction(1, 2) * cur.a + cur.b:
-                broken.append(("c", n))
-            if not (Fraction(3, 2) * cur.a >= cur.c >= Fraction(3, 2) * cur.b):
-                broken.append(("order", n))
-            if n > 1:
-                if cur.a != Fraction(3, 4) * prev.a + prev.c:
-                    broken.append(("a", n))
-                if cur.b != Fraction(3, 2) * prev.b + Fraction(1, 2) * prev.c:
-                    broken.append(("b", n))
-            prev = cur
-        add("sequence", "recursions and orderings hold exactly for n <= 20",
-            [], broken, "exact arithmetic")
-        oversized = [n for n in range(3, 11)
-                     if not sequence_abc(n).a < tensor_comparison_bound(n)]
-        add("sequence", "plus coefficient beats the comparison bound for 3 <= n <= 10",
-            [], oversized, "exact arithmetic")
-
-    if only in (None, "lab"):
-        alg = standard_algebra(p)
-        sigma = choose_sigma(alg)
-        gamma = gamma_involution(alg)
-        case1 = choose_pid(alg, sigma, basis_j(alg))
-        add("lab", "case-1 parameter checks", (1, True),
-            (case1.case, all(case1.checks.values())), "exact arithmetic")
-        case2 = choose_pid(alg, gamma, basis_j(alg))
-        add("lab", "case-2 parameter checks", (2, True),
-            (case2.case, all(case2.checks.values())), "exact arithmetic")
-        scaled = choose_pid(alg, gamma, basis_j(alg).scale(Fraction(p)))
-        add("lab", "scaled parameter keeps its case", 2, scaled.case,
-            "exact arithmetic")
-        rng = random.Random(97 * p + 11)
-        mismatches = 0
-        total = 0
-        for _ in range(120):
-            rank = rng.randint(1, 3)
-            scalars = []
-            while len(scalars) < rank:
-                m = rng.randint(-20, 20)
-                if m == 0 or m % p == 0:
-                    continue
-                scalars.append(Fraction(m * p ** rng.randint(0, 2)))
-            entries = [scalar(alg, c) for c in scalars]
-            verdict = larmour_decompose(entries, gamma, case2.pid).isotropic
-            total += 1
-            if verdict != jacobson_verdict(scalars, alg):
-                mismatches += 1
-        add("lab", f"decomposition vs trace reduction on {total} random forms",
-            0, mismatches, "two independent paths")
-
-    known = sections | {"oracle", "sequence", "lab"}
-    if only is not None and only not in known:
-        raise ParseError(f"unknown section {only!r}; pick one of "
-                         f"{', '.join(sorted(known))}")
+            computed = f"error: {exc}"
+        rows.append({
+            "section": entry.section, "instance": entry.instance,
+            "expected": repr(entry.expected), "computed": repr(computed),
+            "source": entry.source, "ok": entry.expected == computed,
+        })
     return rows
 
 
@@ -530,22 +449,7 @@ def verify_paper(p: int = 5, q: int = 9, only=None, as_json: bool = False) -> in
 def main(argv=None) -> int:
     try:
         args = parse(sys.argv[1:] if argv is None else list(argv))
-        if args.verb == "isotropy":
-            return _run_isotropy_quad(args) if args.what == "quad" \
-                else _run_isotropy_herm(args)
-        if args.verb == "usearch":
-            return _run_usearch(args)
-        if args.verb == "uinv":
-            return _run_uinv_exact(args)
-        if args.verb == "bounds":
-            return _run_bounds_ai(args) if args.what == "ai" \
-                else _run_bounds_tensor(args)
-        if args.verb == "lab":
-            return _run_lab_pid(args) if args.what == "pid" \
-                else _run_lab_larmour(args)
-        if args.verb == "verify":
-            return verify_paper(args.p, args.q, args.only, args.json)
-        raise ParseError(f"unknown verb {args.verb!r}")  # pragma: no cover
+        return args.run(args)
     except (ParseError, InvalidExtensionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

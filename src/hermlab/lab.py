@@ -20,6 +20,7 @@ integers, and ``coords`` turns them back into Fractions.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -520,3 +521,28 @@ def jacobson_verdict(scalars, alg: LabAlgebra) -> bool:
     if verdict != oracle:
         raise EngineError("the two quadratic deciders disagree")
     return verdict
+
+
+LARMOUR_SWEEP_FORMS = 120
+
+
+def larmour_mismatches(p: int) -> int:
+    """On how many of LARMOUR_SWEEP_FORMS seeded scalar forms over
+    standard_algebra(p) and gamma the decomposition's verdict (with the
+    case-2 parameter from j) differs from the trace reduction's."""
+    alg = standard_algebra(p)
+    gamma = gamma_involution(alg)
+    pid = choose_pid(alg, gamma, basis_j(alg)).pid
+    rng = random.Random(97 * p + 11)
+    mismatches = 0
+    for _ in range(LARMOUR_SWEEP_FORMS):
+        rank = rng.randint(1, 3)
+        scalars = []
+        while len(scalars) < rank:
+            m = rng.randint(-20, 20)
+            if m % p:  # m is a p-adic unit
+                scalars.append(Fraction(m * p ** rng.randint(0, 2)))
+        entries = [scalar(alg, c) for c in scalars]
+        verdict = larmour_decompose(entries, gamma, pid).isotropic
+        mismatches += verdict != jacobson_verdict(scalars, alg)
+    return mismatches

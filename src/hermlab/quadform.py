@@ -12,6 +12,7 @@ compared form by form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +31,7 @@ from .fields import (
     one,
     smallest_nonresidue,
     split_valuation,
+    sqcl_group,
 )
 
 
@@ -210,6 +212,23 @@ def qf_is_isotropic_oracle(q: QuadForm) -> bool:
     if n == 4:
         return (not _is_square((v, u), p)) or eps == hilbert_symbol(neg_one, neg_one, p)
     return True
+
+
+# The oracle sweep's dimensions: 4 + 16 + 64 + 256 + 1024 ordered forms at height one.
+ORACLE_SWEEP_DIMENSIONS = range(1, 6)
+ORACLE_SWEEP_FORMS = sum(4 ** d for d in ORACLE_SWEEP_DIMENSIONS)
+
+
+def oracle_disagreements(k: FieldDesc) -> int:
+    """How many of the ORACLE_SWEEP_FORMS ordered forms over the height-one
+    tower k the leaf test and the invariant decider answer differently."""
+    classes = sqcl_group(k)
+    disagreements = 0
+    for dim in ORACLE_SWEEP_DIMENSIONS:
+        for entries in itertools.product(classes, repeat=dim):
+            form = QuadForm(k, entries)
+            disagreements += qf_is_isotropic(form) != qf_is_isotropic_oracle(form)
+    return disagreements
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,10 @@ from .hermitian import (
     u_search,
     unitary_involution,
 )
-from .quadform import QuadForm, qf_is_isotropic, u_quadratic
+from .lab import (LARMOUR_SWEEP_FORMS, basis_j, choose_pid, choose_sigma,
+                  gamma_involution, larmour_mismatches, standard_algebra)
+from .quadform import (ORACLE_SWEEP_FORMS, QuadForm, oracle_disagreements,
+                       qf_is_isotropic, u_quadratic)
 
 # Base values. A finite field carries an anisotropic plane and nothing
 # bigger, skew rank-one entries cannot exist away from characteristic 2,
@@ -518,6 +521,26 @@ def sequence_abc(n: int) -> ABCSequence:
     return ABCSequence(n, a, b, c)
 
 
+IDENTITY_INDICES = range(1, 21)
+COMPARISON_INDICES = range(3, 11)  # where the plus coefficient is compared
+
+
+def sequence_identity_failures() -> list:
+    """(identity, n) for each n in IDENTITY_INDICES where c = a/2 + b, the
+    ordering 3a/2 >= c >= 3b/2 or a recursion from n-1 fails exactly."""
+    broken = []
+    prev = sequence_abc(1)
+    for n in IDENTITY_INDICES:
+        cur = sequence_abc(n)
+        holds = {"c": cur.c == Fraction(1, 2) * cur.a + cur.b,
+                 "order": Fraction(3, 2) * cur.a >= cur.c >= Fraction(3, 2) * cur.b,
+                 "a": n == 1 or cur.a == Fraction(3, 4) * prev.a + prev.c,
+                 "b": n == 1 or cur.b == Fraction(3, 2) * prev.b + Fraction(1, 2) * prev.c}
+        broken += [(name, n) for name, ok in holds.items() if not ok]
+        prev = cur
+    return broken
+
+
 # bounds_tensor prints every induction step's exact coefficients, whose
 # numerators grow like 9**n: n = 1000 takes a fraction of a second, and
 # from about n = 4600 on the digits pass Python's int-to-str limit.
@@ -658,8 +681,16 @@ def _with_children(result: UResult):
     return result.value, tuple(c.value for c in result.derivation.numeric_children())
 
 
+def _standard_pid_checks(p: int, involution, scale: int = 1):
+    """choose_pid on standard_algebra(p) and t = scale * j: (case, all checks hold)."""
+    alg = standard_algebra(p)
+    result = choose_pid(alg, involution(alg), basis_j(alg).scale(scale))
+    return result.case, all(result.checks.values())
+
+
 def expected_table(p: int = 5, q: int = 9):
-    """Every published value the engine reproduces, with how to compute it.
+    """The rows of `verify paper`, in order: every published value the engine
+    reproduces, with how to compute it, then the checks of one route against another.
 
     Entries whose expected value is a (value, child-values) pair also pin
     the arithmetic shape of the derivation, e.g. 6 via 2+4 versus 6 via
@@ -675,7 +706,7 @@ def expected_table(p: int = 5, q: int = 9):
     Bg = parse_brauer(kg, "(a,b);(v,pi)")
     residue = frozenset({"residue"})
 
-    entries = [
+    return [
         TableEntry("uquad", f"u(F{p})", 2,
                    lambda: u_quadratic(k0), "exhaustive search"),
         TableEntry("uquad", f"u(CDV(F{p}))", 4,
@@ -782,5 +813,24 @@ def expected_table(p: int = 5, q: int = 9):
                    lambda: sequence_abc(2).b, "closed form"),
         TableEntry("sequence", "floor of the minus bound at u=8", 6,
                    lambda: bounds_tensor(2, 8).floor_minus, "closed form"),
+
+        TableEntry("oracle", f"residue decider vs invariant decider on {ORACLE_SWEEP_FORMS} "
+                   "forms", 0, lambda: oracle_disagreements(k1), "two independent paths"),
+        TableEntry("sequence", "recursions and orderings hold exactly for "
+                   f"n <= {IDENTITY_INDICES[-1]}", [], sequence_identity_failures,
+                   "exact arithmetic"),
+        TableEntry("sequence", "plus coefficient beats the comparison bound for "
+                   f"{COMPARISON_INDICES[0]} <= n <= {COMPARISON_INDICES[-1]}", [],
+                   lambda: [n for n in COMPARISON_INDICES
+                            if not sequence_abc(n).a < tensor_comparison_bound(n)],
+                   "exact arithmetic"),
+
+        TableEntry("lab", "case-1 parameter checks", (1, True),
+                   lambda: _standard_pid_checks(p, choose_sigma), "exact arithmetic"),
+        TableEntry("lab", "case-2 parameter checks", (2, True),
+                   lambda: _standard_pid_checks(p, gamma_involution), "exact arithmetic"),
+        TableEntry("lab", "scaled parameter keeps its case", 2,
+                   lambda: _standard_pid_checks(p, gamma_involution, p)[0], "exact arithmetic"),
+        TableEntry("lab", f"decomposition vs trace reduction on {LARMOUR_SWEEP_FORMS} "
+                   "random forms", 0, lambda: larmour_mismatches(p), "two independent paths"),
     ]
-    return entries

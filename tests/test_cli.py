@@ -1,5 +1,6 @@
 """Command parsing, output shapes and exit codes."""
 
+import argparse
 import json
 import os
 import signal
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from hermlab import lab
 from hermlab.cli import build_parser, main, parse, parse_element
-from hermlab.errors import ParseError
+from hermlab.errors import EngineError, ParseError
 from hermlab.lab import basis_ij, basis_j, scalar, standard_algebra
+from hermlab.uinv import expected_table
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -311,6 +314,39 @@ def test_verify_json(capsys):
     assert code == 0
     assert payload["ok"] is True
     assert all(row["ok"] for row in payload["rows"])
+
+
+SECTIONS = sorted({entry.section for entry in expected_table()})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("section", SECTIONS)
+def test_verify_only_matches_the_golden_rows(capsys, p, section):
+    code, payload, _ = run_json(capsys, "verify", "paper", "--p", str(p), "--only", section)
+    golden = json.loads((DATA / f"verify_paper_p{p}.json").read_text())
+    assert code == 0
+    assert payload["rows"] == [row for row in golden["rows"] if row["section"] == section]
+
+
+def test_only_help_names_the_table_sections():
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    only = next(a for a in verbs.choices["verify"]._actions if a.dest == "only")
+    named = only.help.split(":", 1)[1].replace(" ", "").split(",")
+    assert len(SECTIONS) == 10 and sorted(named) == SECTIONS
+
+
+def test_an_engine_error_in_a_check_is_a_failed_row(capsys, monkeypatch):
+    def broken(scalars, alg):
+        raise EngineError("the two quadratic deciders disagree")
+
+    monkeypatch.setattr(lab, "jacobson_verdict", broken)
+    code, payload, _ = run_json(capsys, "verify", "paper", "--only", "lab")
+    assert code == 2 and payload["ok"] is False
+    row = payload["rows"][-1]
+    assert row["instance"].startswith("decomposition vs trace reduction")
+    assert row["ok"] is False and row["computed"].startswith("'error: ")
+    assert [r["ok"] for r in payload["rows"][:-1]] == [True, True, True]
 
 
 def test_help_text_lists_verbs():

@@ -1,7 +1,9 @@
 """The u-invariant recursion, witnesses, bounds and descent."""
 
 import signal
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -10,6 +12,7 @@ from hermlab.brauer import (
     DivisionKind,
     bc_is_division,
     bc_is_trivial,
+    bc_key,
     parse_brauer,
     trivial_class,
 )
@@ -390,9 +393,54 @@ def test_descent_rejects_gaps():
 
 def test_expected_table_all_pass():
     for p in (3, 5, 7):
-        for entry in expected_table(p=p):
+        table = expected_table(p=p)
+        assert len(table) == 38
+        for entry in table:
             assert entry.compute() == entry.expected, \
                 f"{entry.section}/{entry.instance} at p={p}"
+
+
+def _one_list_per_key(k):
+    """The first list with each Brauer key among all single symbols over k,
+    then all unordered pairs of distinct symbols."""
+    symbols = list(product(sqcl_group(k), repeat=2))
+    first = {}
+    for syms in chain(((s,) for s in symbols), combinations(symbols, 2)):
+        B = BrauerClass(k, syms)
+        first.setdefault(bc_key(B), B)
+    return list(first.values())
+
+
+_DEGREE = {DivisionKind.SPLIT: 1, DivisionKind.QUATERNION: 2, DivisionKind.BIQUATERNION: 4}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("h,kinds,refused", [
+    (1, (1, 1, 0), {DivisionKind.QUATERNION: 3}),
+    (2, (1, 7, 0), {DivisionKind.QUATERNION: 21}),
+    (3, (1, 35, 28), {DivisionKind.QUATERNION: 105, DivisionKind.BIQUATERNION: 420}),
+])
+def test_every_class_attains_the_degree_bounds(p, h, kinds, refused):
+    """Every Brauer class of the height-h tower, split, quaternion or
+    biquaternion of degree d, has (plus, minus) = bounds_ai(h+1, d), and
+    every nontrivial lambda gives the unitary value 2**h or is refused."""
+    k = parse_field(f"F{p}")
+    for _ in range(h):
+        k = CDVField(k)
+    seen, refusals = Counter(), Counter()
+    for B in _one_list_per_key(k):
+        kind = bc_is_division(B)
+        seen[kind] += 1
+        assert (u_exact(B, "plus").value, u_exact(B, "minus").value) \
+            == bounds_ai(h + 1, _DEGREE[kind]), str(B)
+        for lam in sqcl_group(k)[1:]:
+            try:
+                assert u_exact(B, "zero", lam).value == bounds_ai(h + 1, 2, "second"), \
+                    f"{B} over {class_to_str(lam)}"
+            except NotDivisionError:
+                refusals[kind] += 1
+    assert tuple(seen[kind] for kind in DivisionKind) == kinds
+    assert refusals == refused
 
 
 @pytest.mark.parametrize("p", [3, 5])
