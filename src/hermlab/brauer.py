@@ -48,12 +48,15 @@ from .quadform import albert_form, norm_form, qf_is_isotropic
 @dataclass(frozen=True)
 class BrauerClass:
     field: FieldDesc
-    symbols: tuple  # pairs (a, b) of square classes; empty list = trivial class
+    symbols: tuple  # pairs (a, b) of square classes; empty = trivial class
 
     def __post_init__(self):
-        for a, b in self.symbols:
+        # stored as tuples, so that a class built from lists still hashes
+        symbols = tuple((a, b) for a, b in self.symbols)
+        for a, b in symbols:
             if a.field != self.field or b.field != self.field:
                 raise FieldMismatchError("symbol slot over the wrong field")
+        object.__setattr__(self, "symbols", symbols)
 
     @property
     def effective_symbols(self) -> tuple:

@@ -8,7 +8,10 @@ cases: doubling when nothing ramifies, a two-fixed-field sum when the
 extended algebra ramifies, and a plus-plus-minus sum when the extension
 itself ramifies.  Finite bases contribute 2/0/1, global-function-field
 bases contribute a fixed axiom table, and every step is recorded in a
-Derivation tree that can be audited node by node.
+Derivation tree that can be audited node by node.  Each step is computed
+once per process for its exact (class, kind, extension), so `witness`
+after `u_exact` and every repeated sub-walk reuse it; errors are raised
+again on every call.
 
 Each value has a witness: an anisotropic form of exactly that rank,
 built by the same walk that computes the value.  Concrete leaves are
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .brauer import (
     BrauerClass,
@@ -225,6 +229,12 @@ class _Step:
         return self.derivation.value
 
 
+# Bound on the steps kept by each memo of the walk below.  A step is keyed
+# by its exact class, not by the class's key, because derivations and
+# witnesses print the caller's own symbols.
+_STEP_MEMO = 1024
+
+
 def _walk(B: BrauerClass, kind: UKind, lam, assertions):
     """The walk from the top class: its step, and the `_category` pair
     (index, division class) of the top class, which `witness` reuses to
@@ -238,12 +248,12 @@ def _walk(B: BrauerClass, kind: UKind, lam, assertions):
             raise InvalidExtensionError("the trivial class defines no quadratic extension")
     elif lam is not None:
         raise InvalidExtensionError("first-kind values take no extension class")
-    category = _category(B)
-    step = (_unitary(B, lam, assertions, category=category) if kind is UKind.ZERO
-            else _first_kind(B, kind, assertions, category))
-    return step, category
+    step = (_unitary(B, lam, assertions) if kind is UKind.ZERO
+            else _first_kind(B, kind, assertions))
+    return step, _category(B)
 
 
+@lru_cache(maxsize=_STEP_MEMO)
 def _category(B: BrauerClass):
     """(index, division class) of B: `morita_reduce` over a finite-based
     tower; over a global-function-field base, where division is asserted
@@ -338,10 +348,10 @@ def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
         flat, first.ok and second.ok)
 
 
-def _first_kind(B: BrauerClass, kind: UKind, assertions,
-                category=None) -> _Step:
+@lru_cache(maxsize=_STEP_MEMO)
+def _first_kind(B: BrauerClass, kind: UKind, assertions) -> _Step:
     k = B.field
-    index, Bn = category or _category(B)
+    index, Bn = _category(B)
     fl, cl = field_to_str(k), str(Bn)
     if index is DivisionKind.SPLIT and kind is UKind.MINUS:
         return _Step(leaf("base:field-minus", fl, cl, kind.value, 0,
@@ -382,8 +392,9 @@ def _over_extension(res: FieldDesc, R0: BrauerClass, c: SquareClass,
     return _first_kind(R, kind, assertions)
 
 
+@lru_cache(maxsize=_STEP_MEMO)
 def _unitary(B: BrauerClass, lam: SquareClass, assertions,
-             morita: bool = False, category=None) -> _Step:
+             morita: bool = False) -> _Step:
     """Unitary value of the algebra presented by (class, extension class).
 
     With morita set (internal residue-algebra presentations), a class that
@@ -393,7 +404,7 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     k = B.field
     if lam.is_one:
         raise InvalidExtensionError("the trivial class defines no quadratic extension")
-    index, Bn = category or _category(B)
+    index, Bn = _category(B)
     reduced_note = ""
     if is_finite_based(k) and bc_extended_index(Bn, lam, index, morita) is not index:
         Bn = trivial_class(k)

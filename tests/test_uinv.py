@@ -1,5 +1,6 @@
 """The u-invariant recursion, witnesses, bounds and descent."""
 
+import random
 import signal
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ from itertools import chain, combinations, product
 
 import pytest
 
+from hermlab import uinv
 from hermlab.brauer import (
     BrauerClass,
     DivisionKind,
@@ -18,6 +20,7 @@ from hermlab.brauer import (
 )
 from hermlab.errors import (
     GapError,
+    HermlabError,
     InvalidExtensionError,
     NeedsAssertionError,
     NotDivisionError,
@@ -516,3 +519,87 @@ def test_shape_b_search_matches_recursion_at_height_three():
     for lam in lams:
         assert (u_search(trivial_class(K3), unitary_involution(lam), 1, K3)
                 == u_exact(trivial_class(K3), "zero", lam).value), class_to_str(lam)
+
+
+# the per-process memo of the residue walk -------------------------------------
+
+def _clear_walk_memos():
+    for step in (uinv._category, uinv._first_kind, uinv._unitary):
+        step.cache_clear()
+
+
+def _walk_sample(seed=15):
+    """Seeded (class, kind, lambda) instances at heights 1-4, p = 3 and 5,
+    one or two symbols, every kind."""
+    rng = random.Random(seed)
+    sample = []
+    for p in (3, 5):
+        k = parse_field(f"F{p}")
+        for _ in range(4):
+            k = CDVField(k)
+            classes = sqcl_group(k)[1:]
+            for kind in ("plus", "minus", "zero"):
+                for nsym in (1, 2, 2):
+                    syms = tuple((rng.choice(classes), rng.choice(classes))
+                                 for _ in range(nsym))
+                    lam = rng.choice(classes) if kind == "zero" else None
+                    sample.append((BrauerClass(k, syms), k, kind, lam))
+    return sample
+
+
+def _walk_outcome(B, k, kind, lam, witness_first=False):
+    """Everything u_exact and witness return on one input, or the refusal."""
+    try:
+        if witness_first:
+            w = witness(B, k, kind, lam)
+            r = u_exact(B, kind, lam)
+        else:
+            r = u_exact(B, kind, lam)
+            w = witness(B, k, kind, lam)
+    except HermlabError as exc:
+        return type(exc).__name__, str(exc)
+    return (r.value, r.derivation.to_json_dict(), w.node.to_json_dict(),
+            w.rank, w.entries, w.verified)
+
+
+def test_walk_memo_is_invisible():
+    """Cold (memos cleared before each input), warm, and with witness
+    called first, u_exact and witness give the same trees and entries."""
+    sample = _walk_sample()
+    cold = []
+    for inst in sample:
+        _clear_walk_memos()
+        cold.append(_walk_outcome(*inst))
+    warm = [_walk_outcome(*inst) for inst in sample]
+    _clear_walk_memos()
+    witness_first = [_walk_outcome(*inst, witness_first=True) for inst in sample]
+    assert warm == cold
+    assert witness_first == cold
+    refusals = Counter(out[0] for out in cold if isinstance(out[0], str))
+    assert set(refusals) == {"NotDivisionError"}
+    assert 0 < refusals["NotDivisionError"] < len(sample) // 2
+
+
+def test_class_from_lists_walks_like_one_from_tuples():
+    a, b = pc(K2, "u"), pc(K2, "t")
+    from_lists, from_tuples = BrauerClass(K2, [[a, b]]), BrauerClass(K2, ((a, b),))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    for kind, lam in (("plus", None), ("minus", None), ("zero", pc(K2, "p"))):
+        _clear_walk_memos()
+        listed = _walk_outcome(from_lists, K2, kind, lam)
+        _clear_walk_memos()
+        assert listed == _walk_outcome(from_tuples, K2, kind, lam)
+
+
+def test_walk_failures_are_raised_every_time():
+    k4 = parse_field("CDV(CDV(CDV(CDV(F3))))")
+    B = parse_brauer(k4, "(u,pi);(t,s*s2)")
+    assert bc_is_division(B) is DivisionKind.BIQUATERNION
+    for _ in range(2):
+        with pytest.raises(NotDivisionError):
+            u_exact(B, "plus")
+    quaternion = parse_brauer(KG, "(a,b)")
+    assert u_exact(quaternion, "plus", assertions=RESIDUE).value == 6
+    for _ in range(2):
+        with pytest.raises(NeedsAssertionError):
+            u_exact(quaternion, "plus")
