@@ -87,8 +87,10 @@ class LabAlgebra:
         return not qf_is_isotropic(QuadForm(self.tower(), self.norm_classes))
 
 
+@lru_cache(maxsize=64)
 def standard_algebra(p: int) -> LabAlgebra:
-    """(u, p) with u the least positive nonresidue mod p."""
+    """(u, p) with u the least positive nonresidue mod p, memoised per
+    prime like smallest_nonresidue; a non-prime p raises on every call."""
     FiniteField(p)  # an odd prime within the size bound, so the search ends
     return LabAlgebra(Fraction(smallest_nonresidue(p)), Fraction(p), p)
 
@@ -229,14 +231,19 @@ def basis_ij(alg: LabAlgebra) -> QuaternionElt:
     return _lattice(alg, 0, 0, 0, 1, 1)
 
 
-def w_value(x: QuaternionElt) -> Fraction:
-    """Half the valuation of the reduced norm; half-integers allowed."""
+def _twice_value(x: QuaternionElt) -> int:
+    """The valuation of the reduced norm, twice the value w(x)."""
     if x.is_zero:
         raise ValueError("zero has no value")
     p = x.alg.p
     num = split_valuation(x._norm_numerator(), p)[0]
     den = split_valuation(x.alg._cleared[0] * x.den * x.den, p)[0]
-    return Fraction(num - den, 2)
+    return num - den
+
+
+def w_value(x: QuaternionElt) -> Fraction:
+    """Half the valuation of the reduced norm; half-integers allowed."""
+    return Fraction(_twice_value(x), 2)
 
 
 def residue_elt(x: QuaternionElt, allow_positive: bool = False):
@@ -249,9 +256,9 @@ def residue_elt(x: QuaternionElt, allow_positive: bool = False):
     if not x.is_integral():
         raise ValueError("non-integral coordinates")
     if not x.is_zero:
-        w = w_value(x)
+        w = _twice_value(x)
         if w < 0 or (w != 0 and not allow_positive):
-            raise ValueError(f"value {w} is not zero")
+            raise ValueError(f"value {Fraction(w, 2)} is not zero")
     p = x.alg.p
     inv = pow(x.den, -1, p)
     return (x.nums[0] * inv % p, x.nums[1] * inv % p)
@@ -351,9 +358,9 @@ def choose_pid(alg: LabAlgebra, sigma: Involution, t: QuaternionElt) -> PidResul
         raise UnsupportedShapeError("split presentation")
     if t.is_zero:
         raise ValueError("zero is not a parameter")
-    wt = w_value(t)
-    if wt.denominator != 2:
-        raise ValueError(f"parameter must have half-odd value, got {wt}")
+    wt = _twice_value(t)
+    if wt % 2 == 0:
+        raise ValueError(f"parameter must have half-odd value, got {Fraction(wt, 2)}")
 
     ratio = sigma(t) * t.inverse()
     alpha = alpha_element(alg)
@@ -372,8 +379,8 @@ def choose_pid(alg: LabAlgebra, sigma: Involution, t: QuaternionElt) -> PidResul
         checks["case2_chain_vanishes"] = residue_elt(chain, allow_positive=True) == (0, 0)
         checks["case2_ratio_nonzero"] = residue_elt(pid * t.inverse()) != (0, 0)
 
-    checks["sign"] = sigma(pid) == pid.scale(Fraction(eps_prime))
-    checks["value_preserved"] = w_value(pid) == wt
+    checks["sign"] = sigma(pid) == (pid if eps_prime == 1 else -pid)
+    checks["value_preserved"] = _twice_value(pid) == wt
     fixed = pid * sigma(alpha) * pid.inverse()
     checks["residue_fixes_alpha"] = residue_elt(fixed) == residue_elt(alpha, allow_positive=True)
 
@@ -441,15 +448,15 @@ def _parameter_data(sigma: Involution, pid: QuaternionElt):
     (which must be odd) and the residue involution kinds of sigma and of
     the twisted involution."""
     eps_prime = 1 if sigma(pid) == pid else -1
-    double_pid_value = 2 * w_value(pid)
-    if double_pid_value.denominator != 1 or int(double_pid_value) % 2 == 0:
+    r = _twice_value(pid)
+    if r % 2 == 0:
         raise ValueError("the twisting element must have half-odd value")
     pid_inv = pid.inverse()
 
     def sigma_twisted(y):
         return pid * sigma(y) * pid_inv
 
-    return (pid_inv, sigma_twisted, eps_prime, int(double_pid_value),
+    return (pid_inv, sigma_twisted, eps_prime, r,
             _involution_kind(sigma, pid.alg), _involution_kind(sigma_twisted, pid.alg))
 
 
@@ -467,38 +474,45 @@ def larmour_decompose(entries, sigma: Involution, pid: QuaternionElt,
     (sigma, pid) is computed once per pair and memoised; every entry is
     checked afresh.
     """
+    if eps not in (1, -1):
+        raise ValueError(f"eps must be +1 or -1, got {eps}")
     alg = pid.alg
     pid_inv, sigma_twisted, eps_prime, r, kind1, kind2 = _parameter_data(sigma, pid)
 
     def rescaler(shift: int) -> QuaternionElt:
-        """An element x with 2*w(x) = shift, mixing pid and prime powers."""
+        """An element x with 2*w(x) = shift: p**k or pid * p**k."""
         if shift % 2 == 0:
-            return scalar(alg, Fraction(alg.p) ** (shift // 2))
-        return pid.scale(Fraction(alg.p) ** ((shift - r) // 2))
+            (x0, x1, x2, x3), den, k = (1, 0, 0, 0), 1, shift // 2
+        else:
+            (x0, x1, x2, x3), den, k = pid.nums, pid.den, (shift - r) // 2
+        if k < 0:
+            return _lattice(alg, x0, x1, x2, x3, den * alg.p ** -k)
+        f = alg.p ** k
+        return _lattice(alg, f * x0, f * x1, f * x2, f * x3, den)
 
     h1_entries, h2_entries = [], []
     for d in entries:
         if d.is_zero:
             raise ValueError("zero diagonal entry")
-        if sigma(d) != d.scale(Fraction(eps)):
+        if sigma(d) != (d if eps == 1 else -d):
             raise ValueError("entry is not eps-symmetric under sigma")
-        wd = w_value(d)
-        if wd.denominator == 1:
-            x = rescaler(-int(wd))
+        wd = _twice_value(d)
+        if wd % 2 == 0:
+            x = rescaler(-wd // 2)
             unit = sigma(x) * d * x
-            if w_value(unit) != 0:
+            if _twice_value(unit) != 0:
                 raise EngineError("rescaling missed the unit range")
             h1_entries.append(residue_elt(unit))
         else:
             e = d * pid_inv
-            we = w_value(e)
-            if we.denominator != 1:
+            we = _twice_value(e)
+            if we % 2:
                 raise EngineError("parameter stripping left a half-odd value")
-            x = rescaler(-int(we))
+            x = rescaler(-we // 2)
             unit = sigma_twisted(x) * e * x
-            if w_value(unit) != 0:
+            if _twice_value(unit) != 0:
                 raise EngineError("rescaling missed the unit range")
-            if sigma_twisted(unit) != unit.scale(Fraction(eps * eps_prime)):
+            if sigma_twisted(unit) != (unit if eps * eps_prime == 1 else -unit):
                 raise EngineError("twisted entry has the wrong symmetry")
             h2_entries.append(residue_elt(unit))
 

@@ -149,12 +149,15 @@ def _valuation_unit(x, p: int):
     return v, num * pow(den, p - 2, p) % p
 
 
+# Sixteen pairs of _lift_pair's four lifts per prime, for as many primes as
+# its memo holds; the discriminant pairs of 3- and 4-entry forms share it.
+@lru_cache(maxsize=16 * 64)
 def hilbert_symbol(a, b, p: int) -> int:
     """Hilbert symbol over the p-adic rationals, p odd.
 
     Each argument is the (valuation, unit mod p) pair that _valuation_unit
     returns; the symbol depends on nothing else (Serre, A Course in
-    Arithmetic, III.1.2, Theorem 1).
+    Arithmetic, III.1.2, Theorem 1), and is memoised per (pair, pair, p).
     """
     (alpha, s), (beta, t) = a, b
     result = -1 if alpha * beta % 2 and p % 4 == 3 else 1

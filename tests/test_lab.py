@@ -12,8 +12,10 @@ from hermlab.errors import EngineError, UnsupportedShapeError
 from hermlab.fields import class_of_rational
 from hermlab.lab import (
     LabAlgebra,
+    LarmourResult,
     QuaternionElt,
     _parameter_data,
+    _twice_value,
     ResidueForm,
     basis_i,
     basis_ij,
@@ -54,6 +56,13 @@ def test_standard_algebra_is_division():
     for p in (3, 5, 7):
         assert standard_algebra(p).is_division()
     assert not LabAlgebra(Fraction(1), Fraction(5), 5).is_division()
+
+
+def test_standard_algebra_is_memoised_but_not_its_refusals():
+    assert standard_algebra(7) is standard_algebra(7)
+    for p in (9, 9, 2, 2):  # a refused prime raises again on the next call
+        with pytest.raises(ValueError):
+            standard_algebra(p)
 
 
 @given(coords, coords)
@@ -171,6 +180,8 @@ def test_lattice_arithmetic_matches_fraction_formulas(case, allow_positive):
     else:
         assert x.inverse().coords == tuple(t / n for t in (xc[0], -xc[1], -xc[2], -xc[3]))
         assert w_value(x) == Fraction(_ref_vp(n, p), 2)
+        assert _twice_value(x) == _ref_vp(n, p)
+        assert w_value(x) == Fraction(_twice_value(x), 2)
     if not any(xc):
         with pytest.raises(ValueError):
             w_value(x)
@@ -335,6 +346,9 @@ def test_decomposition_rejects_bad_entries():
         larmour_decompose([basis_i(ALG)], gamma, pid)  # skew, not symmetric
     with pytest.raises(ValueError):
         larmour_decompose([scalar(ALG, 0)], gamma, pid)
+    for eps in (2, 0, -2):  # a skew entry is not eps-symmetric for any of these
+        with pytest.raises(ValueError):
+            larmour_decompose([basis_i(ALG)], gamma, pid, eps)
 
 
 def test_decomposition_matches_trace_reduction_randomized():
@@ -355,6 +369,103 @@ def test_decomposition_matches_trace_reduction_randomized():
         assert verdict == jacobson_verdict(scalars, ALG)
         agreements += 1
     assert agreements == 120
+
+
+def _larmour_by_fractions(entries, sigma, pid, eps=1):
+    """Reference decomposition: larmour_decompose before its valuations
+    became integers, every value a Fraction and every sign a Fraction
+    scale."""
+    alg = pid.alg
+    pid_inv, sigma_twisted, eps_prime, r, kind1, kind2 = _parameter_data(sigma, pid)
+
+    def rescaler(shift: int) -> QuaternionElt:
+        """An element x with 2*w(x) = shift, mixing pid and prime powers."""
+        if shift % 2 == 0:
+            return scalar(alg, Fraction(alg.p) ** (shift // 2))
+        return pid.scale(Fraction(alg.p) ** ((shift - r) // 2))
+
+    h1_entries, h2_entries = [], []
+    for d in entries:
+        if d.is_zero:
+            raise ValueError("zero diagonal entry")
+        if sigma(d) != d.scale(Fraction(eps)):
+            raise ValueError("entry is not eps-symmetric under sigma")
+        wd = w_value(d)
+        if wd.denominator == 1:
+            x = rescaler(-int(wd))
+            unit = sigma(x) * d * x
+            if w_value(unit) != 0:
+                raise EngineError("rescaling missed the unit range")
+            h1_entries.append(residue_elt(unit))
+        else:
+            e = d * pid_inv
+            we = w_value(e)
+            if we.denominator != 1:
+                raise EngineError("parameter stripping left a half-odd value")
+            x = rescaler(-int(we))
+            unit = sigma_twisted(x) * e * x
+            if w_value(unit) != 0:
+                raise EngineError("rescaling missed the unit range")
+            if sigma_twisted(unit) != unit.scale(Fraction(eps * eps_prime)):
+                raise EngineError("twisted entry has the wrong symmetry")
+            h2_entries.append(residue_elt(unit))
+
+    u = residue_rational(alg.a, alg.p)
+    h1 = ResidueForm(alg.p, u, tuple(h1_entries), kind1, eps)
+    h2 = ResidueForm(alg.p, u, tuple(h2_entries), kind2, eps * eps_prime)
+    return LarmourResult(h1, h2)
+
+
+def _decomposition_outcome(decompose, entries, sigma, pid, eps):
+    try:
+        return decompose(entries, sigma, pid, eps)
+    except (ValueError, EngineError) as exc:
+        return type(exc)
+
+
+def _random_entry(alg, sigma, eps, rng):
+    """x + eps * sigma(x) for a seeded x whose coordinates carry powers of
+    p from -2 to 2, so values fall on both sides of zero; one draw in ten
+    is x itself, which is rarely eps-symmetric."""
+    x = QuaternionElt(alg, [Fraction(rng.randint(-4, 4)) * Fraction(alg.p) ** rng.randint(-2, 2)
+                            for _ in range(4)])
+    if rng.random() < 0.1:
+        return x
+    return x + sigma(x) if eps == 1 else x - sigma(x)
+
+
+@pytest.mark.parametrize("alg", [standard_algebra(p) for p in (3, 5, 7)]
+                         + [LabAlgebra(Fraction(2, 3), Fraction(5, 7), 7)])
+def test_decomposition_matches_the_fraction_reference(alg):
+    rng = random.Random(4100 + alg.p)
+    j = basis_j(alg)
+    reached = set()
+    for sigma in (gamma_involution(alg), choose_sigma(alg)):
+        # the scaled parameters make the rescaling powers of p go negative
+        for t in (j, j.scale(alg.p), j.scale(Fraction(1, alg.p))):
+            pid = choose_pid(alg, sigma, t).pid
+            for eps in (1, -1):
+                for _ in range(15):
+                    rank, entries = rng.randint(1, 3), []
+                    while len(entries) < rank:
+                        d = _random_entry(alg, sigma, eps, rng)
+                        if not d.is_zero:
+                            entries.append(d)
+                    got = _decomposition_outcome(larmour_decompose, entries, sigma, pid, eps)
+                    ref = _decomposition_outcome(_larmour_by_fractions, entries, sigma, pid, eps)
+                    assert got == ref, (sigma.name, str(pid), eps, [str(d) for d in entries])
+                    if isinstance(got, LarmourResult):
+                        reached.add((sigma.name, eps, "twisted" if got.h2.rank else "unit"))
+                        reached.update(("value", (w_value(d) > 0) - (w_value(d) < 0))
+                                       for d in entries)
+                    else:
+                        reached.add(got)
+    # every involution and sign decomposes; the twisted part is reached
+    # where half-odd values are eps-symmetric, entries of positive and
+    # negative value are rescaled, and non-symmetric entries are refused
+    assert reached >= {("gamma", 1, "unit"), ("gamma", -1, "twisted"),
+                       ("int(i)*gamma", 1, "twisted"), ("int(i)*gamma", -1, "unit"),
+                       ("value", 1), ("value", -1), ValueError}
 
 
 def _norm_entries(alg):

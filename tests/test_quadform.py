@@ -31,6 +31,7 @@ from hermlab.quadform import (
     _valuation_unit,
     albert_form,
     hilbert_symbol,
+    legendre,
     max_anisotropic_rank,
     norm_form,
     qf_is_isotropic,
@@ -104,9 +105,17 @@ def _rational_lift(a):
     return value
 
 
+def _hilbert_by_formula(a, b, p):
+    """Serre's formula (A Course in Arithmetic, III.1.2, Theorem 1) on
+    (valuation, unit mod p) pairs, with no memo."""
+    (alpha, s), (beta, t) = a, b
+    return ((-1) ** (alpha * beta * (p - 1) // 2 % 2)
+            * legendre(s, p) ** (beta % 2) * legendre(t, p) ** (alpha % 2))
+
+
 def _oracle_by_fraction_lifts(q):
-    """Reference invariant decider on Fraction lifts: the oracle before
-    it lifted each class once."""
+    """Reference invariant decider on Fraction lifts and the unmemoised
+    Hilbert symbol: the oracle before it lifted each class once."""
     k = q.field
     if not (isinstance(k, CDVField) and isinstance(k.residue, FiniteField)
             and k.residue.e == 1):
@@ -124,25 +133,29 @@ def _oracle_by_fraction_lifts(q):
     eps = 1
     for i in range(n):
         for j in range(i + 1, n):
-            eps *= hilbert_symbol(pairs[i], pairs[j], p)
+            eps *= _hilbert_by_formula(pairs[i], pairs[j], p)
     if n == 2:
         return _is_square(minus_d, p)
     if n == 3:
-        return eps == hilbert_symbol(neg_one, minus_d, p)
+        return eps == _hilbert_by_formula(neg_one, minus_d, p)
     if n == 4:
-        return (not _is_square((v, u), p)) or eps == hilbert_symbol(neg_one, neg_one, p)
+        return (not _is_square((v, u), p)) or eps == _hilbert_by_formula(neg_one, neg_one, p)
     return True
 
 
 def test_oracle_matches_the_fraction_lift_reference():
-    # The primes alternate form by form, so a lift keyed on the mask alone
-    # would answer one prime with another's lift.
+    # The primes alternate form by form, so a lift or a Hilbert symbol keyed
+    # without the prime would answer one prime with another's value.
     fields = [CDVField(FiniteField(p)) for p in (3, 5, 7, 11, 13)]
-    for dim in range(1, 6):
-        for masks in product(range(4), repeat=dim):
-            for k in fields:
-                q = QuadForm(k, tuple(SquareClass(k, m) for m in masks))
-                assert qf_is_isotropic_oracle(q) == _oracle_by_fraction_lifts(q), str(q)
+    shapes = [masks for dim in range(1, 6) for masks in product(range(4), repeat=dim)]
+    # jacobson_verdict hands the oracle forms of 4, 8 and 12 entries
+    rng = random.Random(612)
+    shapes += [tuple(rng.randrange(4) for _ in range(dim))
+               for dim in range(6, 13) for _ in range(30)]
+    for masks in shapes:
+        for k in fields:
+            q = QuadForm(k, tuple(SquareClass(k, m) for m in masks))
+            assert qf_is_isotropic_oracle(q) == _oracle_by_fraction_lifts(q), str(q)
 
 
 def test_finite_base_agreement_with_vector_search():
