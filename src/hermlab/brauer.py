@@ -180,9 +180,10 @@ def bc_is_division(B: BrauerClass) -> DivisionKind:
 
 
 @lru_cache(maxsize=16)
-def _single_symbol_table(k: CDVField) -> dict:
-    """Key -> the first mask pair with that key, a outer and b inner."""
-    n, h, m1 = 2 << height(k), height(k), base_field(k).minus_one_bit
+def _single_symbol_table(h: int, m1: int) -> dict:
+    """Key -> the first mask pair with that key, a outer and b inner, over
+    every tower of height h whose -1 has mask m1."""
+    n = 2 << h
     table = {}
     for a in range(n):
         for b in range(n):
@@ -198,7 +199,7 @@ def bc_single_symbol_rep(B: BrauerClass):
     if not isinstance(k, CDVField):
         raise UnsupportedFieldError("single-symbol representatives need a valued layer")
     key = bc_key(B)
-    pair = _single_symbol_table(k).get(key)
+    pair = _single_symbol_table(height(k), base_field(k).minus_one_bit).get(key)
     if pair is None:
         raise UnsupportedClassError("single-symbol representatives exist for "
                                     "classes of index at most two only")

@@ -73,6 +73,13 @@ class LabAlgebra:
         da, db = a.denominator, b.denominator
         object.__setattr__(self, "_cleared", (da * db, a.numerator * db,
                                               b.numerator * da, a.numerator * b.numerator))
+        # Read per decomposition and per memo lookup: the residue of a, and
+        # the hash, so that no lookup goes through Fraction.__hash__.
+        object.__setattr__(self, "_a_residue", residue_rational(a, self.p))
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.p)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def tower(self) -> CDVField:
         return CDVField(FiniteField(self.p))
@@ -516,9 +523,8 @@ def larmour_decompose(entries, sigma: Involution, pid: QuaternionElt,
                 raise EngineError("twisted entry has the wrong symmetry")
             h2_entries.append(residue_elt(unit))
 
-    u = residue_rational(alg.a, alg.p)
-    h1 = ResidueForm(alg.p, u, tuple(h1_entries), kind1, eps)
-    h2 = ResidueForm(alg.p, u, tuple(h2_entries), kind2, eps * eps_prime)
+    h1 = ResidueForm(alg.p, alg._a_residue, tuple(h1_entries), kind1, eps)
+    h2 = ResidueForm(alg.p, alg._a_residue, tuple(h2_entries), kind2, eps * eps_prime)
     return LarmourResult(h1, h2)
 
 

@@ -185,36 +185,38 @@ def _lift_pair(p: int, data: int):
 def qf_is_isotropic_oracle(q: QuadForm) -> bool:
     """Classical criterion from dimension, discriminant and Hasse symbol.
 
-    Shares no code with the residue recursion: each class is lifted to an
-    actual integer, each lift is split once into its valuation and its
-    unit mod p, and all invariants are computed from those pairs with
-    Legendre symbols.
+    Each dimension reads only the invariants its criterion needs (Serre,
+    A Course in Arithmetic, IV.2.2, Theorem 6): at most one entry is
+    anisotropic and five or more are isotropic, with no lift made;
+    dimension 2 reads -d; dimensions 3 and 4 read d and the pairwise
+    Hasse product.  Shares no code with the residue recursion: each class
+    is lifted to an actual integer, each lift is split once into its
+    valuation and its unit mod p, and the invariants are computed from
+    those pairs with Legendre symbols.
     """
     k = q.field
     if not (isinstance(k, CDVField) and isinstance(k.residue, FiniteField)
             and k.residue.e == 1):
         raise UnsupportedFieldError("the invariant decider runs over the "
                                     "height-one tower only")
+    n = len(q.entries)
+    if n <= 1 or n >= 5:
+        return n >= 5
     p = k.residue.p
     pairs = [_lift_pair(p, a.data) for a in q.entries]
-    n = len(pairs)
-    if n <= 1:
-        return False
     v, u = 0, 1
     for w, c in pairs:
         v, u = v + w, u * c % p
     minus_d, neg_one = (v, -u % p), (0, p - 1)
+    if n == 2:
+        return _is_square(minus_d, p)
     eps = 1
     for i in range(n):
         for j in range(i + 1, n):
             eps *= hilbert_symbol(pairs[i], pairs[j], p)
-    if n == 2:
-        return _is_square(minus_d, p)
     if n == 3:
         return eps == hilbert_symbol(neg_one, minus_d, p)
-    if n == 4:
-        return (not _is_square((v, u), p)) or eps == hilbert_symbol(neg_one, neg_one, p)
-    return True
+    return (not _is_square((v, u), p)) or eps == hilbert_symbol(neg_one, neg_one, p)
 
 
 # The oracle sweep's dimensions: 4 + 16 + 64 + 256 + 1024 ordered forms at height one.

@@ -224,6 +224,25 @@ def test_single_symbol_rep_is_the_first_trivialising_pair(field, stride, expecte
         _SPLIT_AND_BIQUATERNION[field]
 
 
+@pytest.mark.parametrize("h,stride", [(1, 1), (2, 1), (3, 7)])
+def test_single_symbol_rep_depends_on_height_and_minus_one_only(h, stride):
+    # -1 is a nonsquare over F3, F7 and F11 and a square over F5 and F13;
+    # the primes alternate class by class, so a table shared across the two
+    # groups would answer one group with the other's pair
+    groups = {1: [_tower(f"F{p}", h) for p in (3, 7, 11)],
+              0: [_tower(f"F{p}", h) for p in (5, 13)]}
+    fields = [k for pair in zip(groups[1], groups[0]) for k in pair] + groups[1][2:]
+    n = 2 << h
+    for masks in islice(product(range(n), repeat=2), 0, None, stride):
+        reps = {}
+        for k in fields:
+            B = BrauerClass(k, (tuple(sqcl_group(k)[m] for m in masks),))
+            rep = bc_single_symbol_rep(B)
+            assert rep == _first_trivialising_pair(B), str(B)
+            reps.setdefault(minus_one(k).data, set()).add(tuple(c.data for c in rep))
+        assert all(len(pairs) == 1 for pairs in reps.values()), masks
+
+
 def test_base_change_by_ramified_map_unramifies():
     for k in (K1, K2):
         classes = sqcl_group(k)

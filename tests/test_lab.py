@@ -541,6 +541,24 @@ def test_parameter_memo_keys_on_involution_and_parameter():
         assert larmour_decompose(*call) == result, call[1:]
 
 
+def test_algebras_with_int_and_fraction_slots_share_one_parameter_entry():
+    algs = [LabAlgebra(2, 5, 5), LabAlgebra(Fraction(2), Fraction(5), 5)]
+    assert algs[0] == algs[1] and hash(algs[0]) == hash(algs[1])
+    _parameter_data.cache_clear()
+    results = []
+    for alg in algs:
+        sigma = choose_sigma(alg)
+        pid = choose_pid(alg, sigma, basis_j(alg)).pid
+        hits = _parameter_data.cache_info().hits
+        # j has half-odd value and is fixed by sigma: it lands in the twisted part
+        results.append(larmour_decompose([scalar(alg, 1), scalar(alg, 10), basis_j(alg)],
+                                         sigma, pid))
+        assert _parameter_data.cache_info().hits == hits + (alg is algs[1])
+    assert _parameter_data.cache_info().currsize == 1
+    assert results[0] == results[1]
+    assert results[0].h1.u == results[1].h2.u == residue_rational(2, 5) == 2
+
+
 def test_residue_square_classes():
     # every prime-field unit is a square in the quadratic extension
     for c in range(1, 5):

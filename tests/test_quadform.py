@@ -80,6 +80,13 @@ def test_oracle_restricted_to_height_one():
         qf_is_isotropic_oracle(form(K2, "1,u"))
     with pytest.raises(UnsupportedFieldError):
         qf_is_isotropic_oracle(form(F5, "1,u"))
+    # the field check comes before the dimensions decided without invariants
+    for k in (K2, F5):
+        classes = sqcl_group(k)
+        for dim in (0, 1, 5, 12):
+            q = QuadForm(k, tuple(classes[i % len(classes)] for i in range(dim)))
+            with pytest.raises(UnsupportedFieldError):
+                qf_is_isotropic_oracle(q)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
