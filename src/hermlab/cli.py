@@ -63,6 +63,27 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# The values --eps accepts, with the sign each stands for.
+_EPS = {"+1": 1, "-1": -1, "1": 1}
+
+# Options that several verbs take: flag -> add_argument keywords.
+_SHARED = {
+    "--field": {"required": True},
+    "--class": {"dest": "brauer", "default": "1"},
+    "--lambda": {"dest": "lam", "default": None},
+    "--eps": {"default": "+1", "choices": _EPS},
+    "--p": {"type": int, "required": True},
+    "--symbol": {"default": None},
+    "--sigma": {"choices": ("inti-gamma", "gamma")},
+    "--t": {"default": "j"},
+}
+
+
+def _shared(parser, *flags, **overrides) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED[flag], **overrides)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     """The argparse tree, built on first use and shared by every later call;
@@ -74,44 +95,33 @@ def build_parser() -> _Parser:
     isotropy = sub.add_parser("isotropy", help="decide isotropy of a form")
     iso_sub = isotropy.add_subparsers(dest="what", required=True)
     quad = iso_sub.add_parser("quad")
-    quad.add_argument("--field", required=True)
+    _shared(quad, "--field")
     quad.add_argument("--form", required=True, help="comma-separated entries, e.g. 1,u,pi")
     quad.add_argument("--oracle", action="store_true",
                       help="also run the invariant-based decider (height-one towers)")
-    quad.add_argument("--json", action="store_true")
     quad.set_defaults(run=_run_isotropy_quad)
     herm = iso_sub.add_parser("herm")
-    herm.add_argument("--field", required=True)
-    herm.add_argument("--class", dest="brauer", default="1")
-    herm.add_argument("--eps", default="+1", choices=("+1", "-1", "1"))
+    _shared(herm, "--field", "--class", "--eps")
     herm.add_argument("--canonical", action="store_true",
                       help="canonical involution on a division quaternion")
-    herm.add_argument("--lambda", dest="lam", default=None,
-                      help="unitary involution over k(sqrt(lambda))")
+    _shared(herm, "--lambda", help="unitary involution over k(sqrt(lambda))")
     herm.add_argument("--form", required=True)
-    herm.add_argument("--json", action="store_true")
     herm.set_defaults(run=_run_isotropy_herm)
 
     usearch = sub.add_parser("usearch", help="u-invariant by exhaustive search")
     usearch.add_argument("--shape", required=True, choices=("a", "b"))
-    usearch.add_argument("--field", required=True)
-    usearch.add_argument("--class", dest="brauer", default="1")
-    usearch.add_argument("--lambda", dest="lam", default=None)
-    usearch.add_argument("--eps", default="+1", choices=("+1", "-1", "1"))
-    usearch.add_argument("--json", action="store_true")
+    _shared(usearch, "--field", "--class", "--lambda", "--eps")
     usearch.set_defaults(run=_run_usearch)
 
     uinv = sub.add_parser("uinv", help="exact u-invariants with derivations")
     uinv_sub = uinv.add_subparsers(dest="what", required=True)
     exact = uinv_sub.add_parser("exact")
-    exact.add_argument("--field", required=True)
-    exact.add_argument("--class", dest="brauer", default="1")
+    _shared(exact, "--field", "--class")
     exact.add_argument("--type", required=True, choices=("plus", "minus", "zero"))
-    exact.add_argument("--lambda", dest="lam", default=None)
+    _shared(exact, "--lambda")
     exact.add_argument("--assert-division", dest="assertions", action="append",
                        default=[], metavar="TOKEN")
     exact.add_argument("--witness", action="store_true")
-    exact.add_argument("--json", action="store_true")
     exact.set_defaults(run=_run_uinv_exact)
 
     bounds = sub.add_parser("bounds", help="bound formulas")
@@ -120,30 +130,25 @@ def build_parser() -> _Parser:
     ai.add_argument("--i", type=int, required=True)
     ai.add_argument("--d", type=int, default=2)
     ai.add_argument("--kind", default="first", choices=("first", "second"))
-    ai.add_argument("--json", action="store_true")
     ai.set_defaults(run=_run_bounds_ai)
     tensor = bounds_sub.add_parser("tensor")
     tensor.add_argument("--n", type=int, required=True)
     tensor.add_argument("--uk", required=True)
-    tensor.add_argument("--json", action="store_true")
     tensor.set_defaults(run=_run_bounds_tensor)
 
     lab = sub.add_parser("lab", help="concrete element checks")
     lab_sub = lab.add_subparsers(dest="what", required=True)
     pid = lab_sub.add_parser("pid")
-    pid.add_argument("--p", type=int, required=True)
-    pid.add_argument("--symbol", default=None, help="(a,b), defaults to (nonresidue, p)")
-    pid.add_argument("--sigma", default="inti-gamma", choices=("inti-gamma", "gamma"))
-    pid.add_argument("--t", default="j")
-    pid.add_argument("--json", action="store_true")
+    _shared(pid, "--p")
+    _shared(pid, "--symbol", help="(a,b), defaults to (nonresidue, p)")
+    _shared(pid, "--sigma", default="inti-gamma")
+    _shared(pid, "--t")
     pid.set_defaults(run=_run_lab_pid)
     larmour = lab_sub.add_parser("larmour")
-    larmour.add_argument("--p", type=int, required=True)
-    larmour.add_argument("--symbol", default=None)
-    larmour.add_argument("--sigma", default="gamma", choices=("inti-gamma", "gamma"))
-    larmour.add_argument("--t", default="j")
+    _shared(larmour, "--p", "--symbol")
+    _shared(larmour, "--sigma", default="gamma")
+    _shared(larmour, "--t")
     larmour.add_argument("--form", required=True, help="comma-separated scalar entries")
-    larmour.add_argument("--json", action="store_true")
     larmour.set_defaults(run=_run_lab_larmour)
 
     verify = sub.add_parser("verify", help="reproduce the published values")
@@ -153,9 +158,12 @@ def build_parser() -> _Parser:
     verify.add_argument("--only", default=None,
                         help="run one section: uquad, oracle, local, completion, "
                              "unitary, gff, descent, bounds, sequence, lab")
-    verify.add_argument("--json", action="store_true")
     # looks verify_paper up per call: the parser is cached, the name may be rebound
     verify.set_defaults(run=lambda args: verify_paper(args.p, args.q, args.only, args.json))
+
+    # every verb ends with --json
+    for verb in (quad, herm, usearch, exact, ai, tensor, pid, larmour, verify):
+        verb.add_argument("--json", action="store_true")
     return parser
 
 
@@ -221,8 +229,11 @@ def _parse_symbol(p: int, text) -> LabAlgebra:
     return LabAlgebra(a, b, p)
 
 
-def _sigma_for(alg: LabAlgebra, name: str):
-    return choose_sigma(alg) if name == "inti-gamma" else gamma_involution(alg)
+def _lab_setup(args):
+    """The (algebra, involution, t) that lab pid and lab larmour start from."""
+    alg = _parse_symbol(args.p, args.symbol)
+    sigma = choose_sigma(alg) if args.sigma == "inti-gamma" else gamma_involution(alg)
+    return alg, sigma, parse_element(alg, args.t)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +258,6 @@ def _run_isotropy_quad(args) -> int:
 def _herm_desc(args):
     k = parse_field(args.field)
     algebra = parse_brauer(k, args.brauer)
-    eps = 1 if args.eps in ("+1", "1") else -1
     if args.canonical and args.lam:
         raise ParseError("--canonical and --lambda exclude each other")
     if args.canonical:
@@ -257,7 +267,7 @@ def _herm_desc(args):
     else:
         raise ParseError("pick an involution: --canonical or --lambda CLASS")
     entries = tuple(parse_class(k, tok) for tok in args.form.split(","))
-    return k, HermFormDesc(algebra, inv, eps, entries)
+    return k, HermFormDesc(algebra, inv, _EPS[args.eps], entries)
 
 
 def _run_isotropy_herm(args) -> int:
@@ -277,7 +287,7 @@ def _run_isotropy_herm(args) -> int:
 
 def _run_usearch(args) -> int:
     k = parse_field(args.field)
-    eps = 1 if args.eps in ("+1", "1") else -1
+    eps = _EPS[args.eps]
     if args.shape == "a":
         algebra = parse_brauer(k, args.brauer)
         inv = canonical_involution()
@@ -318,44 +328,34 @@ def _run_uinv_exact(args) -> int:
     return 0
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _run_bounds_ai(args) -> int:
     value = bounds_ai(args.i, args.d, args.kind)
     if args.kind == "first":
         payload = {"i": args.i, "d": args.d, "kind": "first",
-                   "plus": _fmt_fraction(value[0]), "minus": _fmt_fraction(value[1])}
-        lines = [f"plus <= {_fmt_fraction(value[0])}, minus <= {_fmt_fraction(value[1])}"]
+                   "plus": str(value[0]), "minus": str(value[1])}
+        lines = [f"plus <= {value[0]}, minus <= {value[1]}"]
     else:
-        payload = {"i": args.i, "kind": "second", "zero": _fmt_fraction(value)}
-        lines = [f"zero <= {_fmt_fraction(value)}"]
+        payload = {"i": args.i, "kind": "second", "zero": str(value)}
+        lines = [f"zero <= {value}"]
     _emit(payload, args.json, lines)
     return 0
 
 
 def _run_bounds_tensor(args) -> int:
     result = bounds_tensor(args.n, _fraction(args.uk, args.uk, "--uk"))
-    payload = {"n": args.n, "uk": _fmt_fraction(result.u_base),
-               "plus": _fmt_fraction(result.plus),
-               "minus": _fmt_fraction(result.minus),
-               "minus_floor": result.floor_minus,
-               "zero": _fmt_fraction(result.zero),
-               "derivation": result.derivation.to_json_dict()}
+    payload = {"n": args.n, "uk": str(result.u_base), "plus": str(result.plus),
+               "minus": str(result.minus), "minus_floor": result.floor_minus,
+               "zero": str(result.zero), "derivation": result.derivation.to_json_dict()}
     _emit(payload, args.json, [
-        f"plus <= {_fmt_fraction(result.plus)}",
-        f"minus <= {_fmt_fraction(result.minus)} (floor {result.floor_minus})",
-        f"zero <= {_fmt_fraction(result.zero)}",
+        f"plus <= {result.plus}",
+        f"minus <= {result.minus} (floor {result.floor_minus})",
+        f"zero <= {result.zero}",
     ])
     return 0
 
 
 def _run_lab_pid(args) -> int:
-    alg = _parse_symbol(args.p, args.symbol)
-    sigma = _sigma_for(alg, args.sigma)
-    t = parse_element(alg, args.t)
+    alg, sigma, t = _lab_setup(args)
     result = choose_pid(alg, sigma, t)
     payload = {"p": args.p, "symbol": f"({alg.a},{alg.b})", "sigma": args.sigma,
                "t": str(t), "case": result.case, "pid": str(result.pid),
@@ -369,36 +369,27 @@ def _run_lab_pid(args) -> int:
 
 
 def _run_lab_larmour(args) -> int:
-    alg = _parse_symbol(args.p, args.symbol)
-    sigma = _sigma_for(alg, args.sigma)
-    t = parse_element(alg, args.t)
+    alg, sigma, t = _lab_setup(args)
     pid = choose_pid(alg, sigma, t).pid
     entries = [parse_element(alg, tok) for tok in args.form.split(",")]
     result = larmour_decompose(entries, sigma, pid)
-    payload = {
-        "p": args.p, "symbol": f"({alg.a},{alg.b})", "sigma": args.sigma,
-        "h1": {"entries": [list(e) for e in result.h1.entries],
-               "involution": result.h1.involution, "eps": result.h1.eps,
-               "isotropic": result.h1.is_isotropic()},
-        "h2": {"entries": [list(e) for e in result.h2.entries],
-               "involution": result.h2.involution, "eps": result.h2.eps,
-               "isotropic": result.h2.is_isotropic()},
-        "isotropic": result.isotropic,
-    }
+    payload = {"p": args.p, "symbol": f"({alg.a},{alg.b})", "sigma": args.sigma}
+    lines = []
+    for name, part in (("h1", result.h1), ("h2", result.h2)):
+        isotropic = part.is_isotropic()
+        payload[name] = {"entries": [list(e) for e in part.entries],
+                         "involution": part.involution, "eps": part.eps,
+                         "isotropic": isotropic}
+        lines.append(f"{name} {part.involution}/{part.eps:+d}: {list(part.entries)} "
+                     f"-> {'isotropic' if isotropic else 'anisotropic'}")
+    payload["isotropic"] = payload["h1"]["isotropic"] or payload["h2"]["isotropic"]
+    lines.append(f"verdict: {'isotropic' if payload['isotropic'] else 'anisotropic'}")
     scalars = [e.coords[0] for e in entries]
     if all(e == scalar(alg, c) for e, c in zip(entries, scalars)) \
             and sigma.name == "gamma":
         payload["trace_reduction"] = jacobson_verdict(scalars, alg)
-    lines = [
-        f"h1 {result.h1.involution}/{result.h1.eps:+d}: {list(result.h1.entries)} "
-        f"-> {'isotropic' if result.h1.is_isotropic() else 'anisotropic'}",
-        f"h2 {result.h2.involution}/{result.h2.eps:+d}: {list(result.h2.entries)} "
-        f"-> {'isotropic' if result.h2.is_isotropic() else 'anisotropic'}",
-        f"verdict: {'isotropic' if result.isotropic else 'anisotropic'}",
-    ]
-    if "trace_reduction" in payload:
         lines.append(f"trace reduction agrees: "
-                     f"{payload['trace_reduction'] == result.isotropic}")
+                     f"{payload['trace_reduction'] == payload['isotropic']}")
     _emit(payload, args.json, lines)
     return 0
 

@@ -14,12 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Derivation:
     rule: str
@@ -60,7 +54,7 @@ class Derivation:
     def to_json_dict(self) -> dict:
         value = self.value
         if isinstance(value, Fraction):
-            value = _fmt(value)
+            value = str(value)
         out = {
             "rule": self.rule,
             "field": self.field_label,
@@ -78,14 +72,14 @@ class Derivation:
         """Compact one-line rendering, e.g. "ramified-sum: 2+4=6"."""
         kids = self.numeric_children()
         if self.combine == "double" and kids:
-            return f"{self.rule}: 2*{_fmt(kids[0].value)}={_fmt(self.value)}"
+            return f"{self.rule}: 2*{kids[0].value}={self.value}"
         if self.combine == "sum" and kids:
-            parts = "+".join(_fmt(c.value) for c in kids)
-            return f"{self.rule}: {parts}={_fmt(self.value)}"
+            parts = "+".join(str(c.value) for c in kids)
+            return f"{self.rule}: {parts}={self.value}"
         if self.combine == "product" and kids:
-            parts = "*".join(_fmt(c.value) for c in kids)
-            return f"{self.rule}: {parts}={_fmt(self.value)}"
-        return f"{self.rule}: {_fmt(self.value)}"
+            parts = "*".join(str(c.value) for c in kids)
+            return f"{self.rule}: {parts}={self.value}"
+        return f"{self.rule}: {self.value}"
 
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent

@@ -38,37 +38,31 @@ from .errors import (
 MAX_FIELD_SIZE = 10 ** 12
 
 
-def _check_size(n: int) -> None:
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2; a size above the bound is refused
+    before any division."""
     if n > MAX_FIELD_SIZE:
         raise ValueError(f"field size {n} is above the supported bound "
                          f"{MAX_FIELD_SIZE}")
-
-
-def _is_prime(n: int) -> bool:
-    _check_size(n)
-    if n < 2:
-        return False
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 1
-    return True
+            return d
+        d += 1 if d == 2 else 2
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def _odd_prime_power(q: int) -> bool:
-    _check_size(q)
-    if q < 3 or q % 2 == 0:
+    if q < 3:
         return False
-    p = 3
-    while p * p <= q:
-        if q % p == 0:
-            m = q
-            while m % p == 0:
-                m //= p
-            return m == 1
-        p += 2
-    return True  # q itself is prime
+    p = _least_prime_factor(q)
+    while q % p == 0:
+        q //= p
+    return p != 2 and q == 1
 
 
 @dataclass(frozen=True)
@@ -83,10 +77,6 @@ class FiniteField:
             raise ValueError(f"finite base needs an odd prime, got {self.p}")
         if self.e < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.e}")
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.e
 
     @property
     def minus_one_bit(self) -> int:
@@ -180,24 +170,21 @@ _QPT_RE = re.compile(r"^Qp\(\(t\)\)\[p=(\d+)\]$")
 def parse_field(text: str) -> FieldDesc:
     """Parse the field grammar: F5, F5^2, GFF(9), CDV(...), Qp[p=5], Qp((t))[p=5]."""
     s = text.strip().replace(" ", "")
-    m = _QP_RE.match(s)
-    if m:
-        return CDVField(FiniteField(int(m.group(1))))
-    m = _QPT_RE.match(s)
-    if m:
-        return CDVField(CDVField(FiniteField(int(m.group(1)))))
-    m = _FINITE_RE.match(s)
-    if m:
-        try:
+    try:
+        m = _QP_RE.match(s)
+        if m:
+            return CDVField(FiniteField(int(m.group(1))))
+        m = _QPT_RE.match(s)
+        if m:
+            return CDVField(CDVField(FiniteField(int(m.group(1)))))
+        m = _FINITE_RE.match(s)
+        if m:
             return FiniteField(int(m.group(1)), int(m.group(2) or 1))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    m = _GFF_RE.match(s)
-    if m:
-        try:
+        m = _GFF_RE.match(s)
+        if m:
             return GlobalFunctionField(int(m.group(1)))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+    except ValueError as exc:  # a size the field constructors refuse
+        raise ParseError(str(exc)) from exc
     m = _CDV_RE.match(s)
     if m:
         return CDVField(parse_field(m.group(1)))
@@ -260,12 +247,6 @@ def lift(k: CDVField, residue_class: SquareClass) -> SquareClass:
     if residue_class.field != k.residue:
         raise FieldMismatchError("unit part must live over the residue field")
     return SquareClass(k, residue_class.data, residue_class.names)
-
-
-def symbolic(k: GlobalFunctionField, *names: str) -> SquareClass:
-    if not isinstance(k, GlobalFunctionField):
-        raise UnsupportedFieldError("symbolic classes exist only over a global function field")
-    return SquareClass(k, 0, frozenset(names))
 
 
 def sqcl_mul(k: FieldDesc, a: SquareClass, b: SquareClass) -> SquareClass:

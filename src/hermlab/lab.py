@@ -272,32 +272,6 @@ def residue_elt(x: QuaternionElt, allow_positive: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# residue field arithmetic (pairs over the prime field)
-
-def fp2_mul(x, y, p: int, u: int):
-    a, b = x
-    c, d = y
-    return ((a * c + u * b * d) % p, (a * d + b * c) % p)
-
-
-def fp2_pow(x, m: int, p: int, u: int):
-    result = (1, 0)
-    base = x
-    while m:
-        if m & 1:
-            result = fp2_mul(result, base, p, u)
-        base = fp2_mul(base, base, p, u)
-        m >>= 1
-    return result
-
-
-def fp2_is_square(x, p: int, u: int) -> bool:
-    if x == (0, 0):
-        return True
-    return fp2_pow(x, (p * p - 1) // 2, p, u) == (1, 0)
-
-
-# ---------------------------------------------------------------------------
 # involutions and parameters
 
 @dataclass(frozen=True)
@@ -335,7 +309,7 @@ def choose_sigma(alg: LabAlgebra) -> Involution:
     for x in (i, j, ij, i + j, scalar(alg, 3) + ij):
         if sigma(sigma(x)) != x:
             raise EngineError("involution does not square to the identity")
-    if residue_elt(sigma(i) * i.inverse()) != (alg.p - 1, 0):
+    if _involution_kind(sigma, alg) != "conjugation":
         raise EngineError("residue involution is not of the second kind")
     return sigma
 
@@ -418,18 +392,17 @@ class ResidueForm:
         if self.involution == "conjugation":
             # norms are surjective onto the prime field
             return self.rank >= 2
-        if self.eps == 1:
-            if self.rank >= 3:
-                return True
-            if self.rank == 2:
-                c1, c2 = self.entries
-                minus_prod = fp2_mul((self.p - 1, 0), fp2_mul(c1, c2, self.p, self.u),
-                                     self.p, self.u)
-                return fp2_is_square(minus_prod, self.p, self.u)
+        if self.eps == -1:
+            if self.entries:
+                raise EngineError("skew entries over the identity residue involution")
             return False
-        if self.entries:
-            raise EngineError("skew entries over the identity residue involution")
-        return False
+        if self.rank != 2:
+            return self.rank >= 3
+        # -c1*c2 is a square of F_p(sqrt(u)) iff its norm N(c1)*N(c2) is a
+        # square mod p: x is a square iff N(x) is, and N(-1) = 1
+        (a, b), (c, d) = self.entries
+        n = (a * a - self.u * b * b) * (c * c - self.u * d * d)
+        return pow(n, (self.p - 1) // 2, self.p) != self.p - 1
 
 
 @dataclass(frozen=True)
@@ -497,35 +470,30 @@ def larmour_decompose(entries, sigma: Involution, pid: QuaternionElt,
         f = alg.p ** k
         return _lattice(alg, f * x0, f * x1, f * x2, f * x3, den)
 
-    h1_entries, h2_entries = [], []
+    # (involution, sign, residue kind, residues) of the plain and twisted parts
+    parts = ((sigma, eps, kind1, []), (sigma_twisted, eps * eps_prime, kind2, []))
     for d in entries:
         if d.is_zero:
             raise ValueError("zero diagonal entry")
         if sigma(d) != (d if eps == 1 else -d):
             raise ValueError("entry is not eps-symmetric under sigma")
         wd = _twice_value(d)
-        if wd % 2 == 0:
-            x = rescaler(-wd // 2)
-            unit = sigma(x) * d * x
-            if _twice_value(unit) != 0:
-                raise EngineError("rescaling missed the unit range")
-            h1_entries.append(residue_elt(unit))
-        else:
-            e = d * pid_inv
-            we = _twice_value(e)
-            if we % 2:
+        twisted = wd % 2
+        if twisted:
+            d = d * pid_inv
+            wd = _twice_value(d)
+            if wd % 2:
                 raise EngineError("parameter stripping left a half-odd value")
-            x = rescaler(-we // 2)
-            unit = sigma_twisted(x) * e * x
-            if _twice_value(unit) != 0:
-                raise EngineError("rescaling missed the unit range")
-            if sigma_twisted(unit) != (unit if eps * eps_prime == 1 else -unit):
-                raise EngineError("twisted entry has the wrong symmetry")
-            h2_entries.append(residue_elt(unit))
-
-    h1 = ResidueForm(alg.p, alg._a_residue, tuple(h1_entries), kind1, eps)
-    h2 = ResidueForm(alg.p, alg._a_residue, tuple(h2_entries), kind2, eps * eps_prime)
-    return LarmourResult(h1, h2)
+        inv, sign, _, residues = parts[twisted]
+        x = rescaler(-wd // 2)
+        unit = inv(x) * d * x
+        if _twice_value(unit) != 0:
+            raise EngineError("rescaling missed the unit range")
+        if twisted and inv(unit) != (unit if sign == 1 else -unit):
+            raise EngineError("twisted entry has the wrong symmetry")
+        residues.append(residue_elt(unit))
+    return LarmourResult(*(ResidueForm(alg.p, alg._a_residue, tuple(residues), kind, sign)
+                           for _, sign, kind, residues in parts))
 
 
 def jacobson_verdict(scalars, alg: LabAlgebra) -> bool:

@@ -363,7 +363,7 @@ def _first_kind(B: BrauerClass, kind: UKind, assertions) -> _Step:
         return _Step(leaf("base:finite", fl, cl, kind.value, _FINITE_BASE[kind],
                           _CITES["base:finite"]),
                      WitnessNode("quad", fl, len(entries), _entry_labels(entries)),
-                     entries, not qf_is_isotropic(QuadForm(k, entries)))
+                     entries, _verify_flat((index, Bn), kind, None, entries))
     if isinstance(k, GlobalFunctionField):
         return _gff_leaf(fl, index, kind, cl, assertions)
 
@@ -413,13 +413,12 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     ext_note = f"extension by {class_to_str(lam)}"
     if isinstance(k, FiniteField):
         entries = (one(k),)
-        h = HermFormDesc(trivial_class(k), unitary_involution(lam), 1, entries)
         return _Step(leaf("base:finite", fl, cl, UKind.ZERO.value,
                           _FINITE_BASE[UKind.ZERO], _CITES["base:finite"],
                           note=ext_note),
                      WitnessNode("unitary", fl, len(entries), _entry_labels(entries),
                                  lam=class_to_str(lam)),
-                     entries, not herm_is_isotropic(h))
+                     entries, _verify_flat((index, Bn), UKind.ZERO, lam, entries))
     if isinstance(k, GlobalFunctionField):
         return _gff_leaf(fl, index, UKind.ZERO, cl, assertions, ext_note)
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hermlab import lab
 from hermlab.cli import build_parser, main, parse, parse_element
@@ -363,3 +364,158 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == "plus <= 6, minus <= 2\n"
+
+
+# Table-mode and `--json` stdout of one argv per output branch, pinned byte
+# for byte in tests/data/cli_<name>.txt and cli_<name>.json.
+CLI_GOLDEN = {
+    "bounds_ai_first_d2": "bounds ai --i 3 --d 2",
+    "bounds_ai_first_d3": "bounds ai --i 3 --d 3",
+    "bounds_ai_first_d4": "bounds ai --i 5 --d 4",
+    "bounds_ai_second_d2": "bounds ai --i 3 --d 2 --kind second",
+    "bounds_ai_second_d3": "bounds ai --i 4 --d 3 --kind second",
+    "bounds_ai_second_d4": "bounds ai --i 5 --d 4 --kind second",
+    "bounds_tensor_8": "bounds tensor --n 2 --uk 8",
+    "bounds_tensor_7_3": "bounds tensor --n 2 --uk 7/3",
+    "bounds_tensor_1_2": "bounds tensor --n 3 --uk 1/2",
+    "lab_pid_inti_gamma": "lab pid --p 5",
+    "lab_pid_gamma": "lab pid --p 5 --sigma gamma",
+    "lab_pid_symbol_inti_gamma": "lab pid --p 7 --symbol (2/3,5/7)",
+    "lab_pid_symbol_gamma": "lab pid --p 7 --symbol (2/3,5/7) --sigma gamma --t 3ij",
+    "lab_larmour_gamma": "lab larmour --p 5 --form 1,5",
+    "lab_larmour_inti_gamma": "lab larmour --p 5 --sigma inti-gamma --form 1,j,5,ij",
+    "lab_larmour_inti_gamma_binary": "lab larmour --p 5 --sigma inti-gamma --form j,-j",
+    "lab_larmour_symbol_gamma": "lab larmour --p 7 --symbol (2/3,5/7) --form 1,7,3",
+    "lab_larmour_symbol_inti_gamma": "lab larmour --p 7 --symbol (2/3,5/7) "
+                                     "--sigma inti-gamma --form 1,j,ij",
+    "uinv_h2f5_up_plus": "uinv exact --field CDV(CDV(F5)) --class (u,p) --type plus "
+                         "--witness",
+    "uinv_h2f5_up_zero_t": "uinv exact --field CDV(CDV(F5)) --class (u,p) --type zero "
+                           "--lambda t --witness",
+    "uinv_h3f5_upi_tupi_minus": "uinv exact --field CDV(CDV(CDV(F5))) "
+                                "--class (u,pi);(t,u*pi) --type minus --witness",
+    "uinv_gff_ab_vpi_plus": "uinv exact --field CDV(GFF(9)) --class (a,b);(v,pi) "
+                            "--type plus --assert-division residue",
+    "isotropy_herm_a": "isotropy herm --field CDV(F5) --class (u,pi) --canonical "
+                       "--form 1,pi",
+    "isotropy_herm_b": "isotropy herm --field CDV(CDV(F3)) --lambda u*t --eps -1 "
+                       "--form 1,pi,t",
+    "usearch_a": "usearch --shape a --field CDV(F3) --class (u,pi)",
+    "usearch_b": "usearch --shape b --field CDV(F3) --lambda pi",
+}
+
+
+@pytest.mark.parametrize("mode", ["txt", "json"])
+@pytest.mark.parametrize("name", list(CLI_GOLDEN))
+def test_cli_output_golden(capsys, name, mode):
+    argv = CLI_GOLDEN[name].split() + (["--json"] if mode == "json" else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / f"cli_{name}.{mode}").read_text()
+
+
+HELP_GOLDEN = ["", "isotropy", "isotropy quad", "isotropy herm", "usearch", "uinv",
+               "uinv exact", "bounds", "bounds ai", "bounds tensor", "lab", "lab pid",
+               "lab larmour", "verify"]
+
+
+@pytest.mark.parametrize("verb", HELP_GOLDEN)
+def test_help_golden(capsys, monkeypatch, verb):
+    # wide enough that no usage line wraps: Python 3.13 wraps them differently
+    monkeypatch.setenv("COLUMNS", "160")
+    with pytest.raises(SystemExit) as exit_info:
+        main(verb.split() + ["-h"])
+    assert exit_info.value.code == 0
+    name = "_".join(["help", *verb.split()])
+    assert capsys.readouterr().out == (DATA / f"{name}.txt").read_text()
+
+
+# The argv grammar for the totality test below: fields of height at most two
+# over primes 3-13 and the global-function-field forms, class and Brauer
+# tokens that do and do not parse over them, and lab symbols and elements
+# with zero denominators.
+PRIMES = st.sampled_from(["3", "5", "7", "11", "13"])
+FIELDS = st.one_of(
+    st.builds("F{}".format, PRIMES), st.builds("F{}^2".format, PRIMES),
+    st.builds("CDV(F{})".format, PRIMES), st.builds("CDV(CDV(F{}))".format, PRIMES),
+    st.builds("Qp[p={}]".format, PRIMES), st.builds("Qp((t))[p={}]".format, PRIMES),
+    st.sampled_from(["GFF(9)", "GFF(25)", "GFF(27)", "GFF(6)", "CDV(GFF(9))",
+                     "CDV(CDV(GFF(27)))", "F4", "CDV(F1)", "nonsense"]))
+GOOD_CLASSES = st.sampled_from(["1", "u", "pi", "p", "t", "u*pi", "pi*t", "u*pi*t",
+                                "-1", "2", "v", "a"])
+CLASSES = GOOD_CLASSES | st.sampled_from(["0", "w", "s", "x y", ""])
+FORMS = (st.lists(GOOD_CLASSES, min_size=1, max_size=5)
+         | st.lists(CLASSES, min_size=1, max_size=5)).map(",".join)
+BRAUER = st.sampled_from(["1", "(u,pi)", "(u,t)", "(pi,t)", "(u*pi,t)", "(u,pi);(pi,t)",
+                          "(u,pi);(t,u*pi)", "(a,b)", "(v,pi)", "(a,b);(v,pi)",
+                          "(u,pi);(t,s);(u,t)", "(u,pi", "(u)", ""])
+SMALL = st.integers(min_value=-2, max_value=12).map(str)
+LAB_NUMBERS = st.sampled_from(["1", "2", "3", "5", "7", "2/3", "5/7", "1/0", "0", "-1",
+                               "13/5", "x"])
+ELEMENTS = st.one_of(
+    LAB_NUMBERS,
+    st.builds("{}{}".format, st.sampled_from(["", "-", "2", "1/0", "3/5"]),
+              st.sampled_from(["i", "j", "ij", "k"])),
+    st.lists(LAB_NUMBERS, min_size=3, max_size=4).map(",".join))
+# symmetric under both involutions when the sign is +1
+SYMMETRIC = st.sampled_from(["1", "2", "3", "5", "7", "-1", "2/3", "j", "2j", "-j", "ij",
+                             "5ij"])
+SYMBOLS = st.builds("({},{})".format, LAB_NUMBERS, LAB_NUMBERS) | st.just("(1,2,3)")
+
+
+def _opt(flag, values):
+    """[] or [flag, value]."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+ARGV = st.one_of(
+    _argv(st.just(["isotropy", "quad", "--field"]), FIELDS.map(lambda f: [f]),
+          FORMS.map(lambda f: ["--form", f]), _flag("--oracle"), _flag("--json")),
+    _argv(st.just(["isotropy", "herm", "--field"]), FIELDS.map(lambda f: [f]),
+          _opt("--class", BRAUER), _opt("--eps", st.sampled_from(["+1", "-1", "1", "2"])),
+          st.just(["--canonical"]) | CLASSES.map(lambda c: ["--lambda", c])
+          | _argv(_flag("--canonical"), _opt("--lambda", CLASSES)),
+          FORMS.map(lambda f: ["--form", f]), _flag("--json")),
+    _argv(st.just(["usearch", "--shape"]), st.sampled_from([["a"], ["b"], ["c"]]),
+          FIELDS.map(lambda f: ["--field", f]), _opt("--class", BRAUER),
+          _opt("--lambda", CLASSES), _opt("--eps", st.sampled_from(["+1", "-1"])),
+          _flag("--json")),
+    _argv(st.just(["uinv", "exact", "--field"]), FIELDS.map(lambda f: [f]),
+          _opt("--class", BRAUER),
+          st.sampled_from(["plus", "minus", "zero", "half"]).map(lambda k: ["--type", k]),
+          _opt("--lambda", CLASSES), _opt("--assert-division", st.just("residue")),
+          _flag("--witness"), _flag("--json")),
+    _argv(st.just(["bounds", "ai", "--i"]), SMALL.map(lambda i: [i]),
+          _opt("--d", SMALL), _opt("--kind", st.sampled_from(["first", "second"])),
+          _flag("--json")),
+    _argv(st.just(["bounds", "tensor", "--n"]), SMALL.map(lambda n: [n]),
+          LAB_NUMBERS.map(lambda u: ["--uk", u]), _flag("--json")),
+    _argv(st.sampled_from([["lab", "pid"], ["lab", "larmour"]]),
+          st.sampled_from(["3", "5", "7", "11", "13", "3", "5", "7", "1", "4", "0"])
+          .map(lambda p: ["--p", p]),
+          _opt("--symbol", SYMBOLS), _opt("--sigma", st.sampled_from(["gamma", "inti-gamma"])),
+          _opt("--t", ELEMENTS), _flag("--json")).flatmap(
+        lambda argv: st.just(argv) if argv[1] == "pid" else
+        (st.lists(SYMMETRIC, min_size=1, max_size=4) | st.lists(ELEMENTS, min_size=1, max_size=4))
+        .map(lambda es: argv + ["--form", ",".join(es)])),
+    _argv(st.just(["verify", "paper"]), _opt("--p", PRIMES | SMALL),
+          _opt("--q", st.sampled_from(["9", "25", "27", "6", "1"])),
+          _opt("--only", st.sampled_from(SECTIONS + ["nonsense"])), _flag("--json")),
+)
+
+
+@given(ARGV)
+@settings(max_examples=400, deadline=5000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_drawn_argv_exits_with_a_code(capsys, argv):
+    code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv

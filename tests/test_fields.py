@@ -30,7 +30,6 @@ from hermlab.fields import (
     smallest_nonresidue,
     sqcl_group,
     sqcl_mul,
-    symbolic,
     transport,
     uniformizer,
 )
@@ -128,8 +127,8 @@ def test_parse_rejects_unknown_generators():
 
 def test_symbolic_classes_multiply_by_cancellation():
     g = GlobalFunctionField(9)
-    uv = symbolic(g, "u", "v")
-    assert uv * symbolic(g, "v") == symbolic(g, "u")
+    uv = parse_class(g, "u*v")
+    assert uv * parse_class(g, "v") == parse_class(g, "u")
     assert (uv * uv).is_one
     with pytest.raises(UnsupportedFieldError):
         sqcl_group(g)
@@ -211,7 +210,7 @@ def test_transport_rejects_wrong_source():
 def test_gff_has_no_extension_operator():
     g = GlobalFunctionField(9)
     with pytest.raises(UnsupportedFieldError):
-        quadratic_extension(g, symbolic(g, "v"))
+        quadratic_extension(g, parse_class(g, "v"))
 
 
 def test_field_sizes_above_the_bound_are_refused():
@@ -222,6 +221,29 @@ def test_field_sizes_above_the_bound_are_refused():
     with pytest.raises(ParseError, match="supported bound"):
         parse_field(f"CDV(F{MAX_FIELD_SIZE + 39})")
     assert FiniteField(1000003).p == 1000003
+
+
+def _accepts(make, n) -> bool:
+    try:
+        make(n)
+    except ValueError:
+        return False
+    return True
+
+
+def test_size_checks_match_a_sieve():
+    n = 3000
+    composite = bytearray(n)
+    for d in range(2, n):
+        composite[2 * d::d] = b"\x01" * len(range(2 * d, n, d))
+    odd_primes = {m for m in range(3, n) if not composite[m]}
+    powers = {p ** e for p in odd_primes for e in range(1, 8) if p ** e < n}
+    assert {m for m in range(n) if _accepts(FiniteField, m)} == odd_primes
+    assert {m for m in range(n) if _accepts(GlobalFunctionField, m)} == powers
+    # the size refusal comes before any parity or divisor test
+    for make in (FiniteField, GlobalFunctionField):
+        with pytest.raises(ValueError, match="supported bound"):
+            make(2 * MAX_FIELD_SIZE + 2)
 
 
 # differential check against the nested calculus ------------------------------
@@ -254,7 +276,7 @@ def _ref_mul(k, a, b):
 
 def _ref_minus_one(k):
     if isinstance(k, FiniteField):
-        return 0 if k.order % 4 == 1 else 1
+        return 0 if k.p ** k.e % 4 == 1 else 1
     if isinstance(k, GlobalFunctionField):
         return frozenset() if k.q % 4 == 1 else frozenset({"-1"})
     return (_ref_minus_one(k.residue), 0)

@@ -22,7 +22,6 @@ from hermlab.lab import (
     basis_j,
     choose_pid,
     choose_sigma,
-    fp2_is_square,
     gamma_involution,
     jacobson_verdict,
     larmour_decompose,
@@ -560,10 +559,18 @@ def test_algebras_with_int_and_fraction_slots_share_one_parameter_entry():
 
 
 def test_residue_square_classes():
-    # every prime-field unit is a square in the quadratic extension
-    for c in range(1, 5):
-        assert fp2_is_square((c, 0), 5, 2)
-    assert not fp2_is_square((0, 1), 5, 2)  # sqrt(u) is not a square when p = 5
+    # the rule binary residue forms are decided by: a unit of F_p(sqrt(u))
+    # is a square iff its norm is a square mod p
+    for p in (3, 5, 7):
+        u = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        units = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+        squares = {_fp2_mul(x, x, p, u) for x in units}
+        for a, b in units:
+            norm = (a * a - u * b * b) % p
+            assert ((a, b) in squares) == (pow(norm, (p - 1) // 2, p) == 1), (p, a, b)
+        assert all((c, 0) in squares for c in range(1, p))
+        # sqrt(u) has norm -u, a square iff -1 is not
+        assert ((0, 1) in squares) == (p % 4 == 3)
 
 
 def _fp2_mul(x, y, p, u):

@@ -22,7 +22,6 @@ from hermlab.fields import (
     smallest_nonresidue,
     split_valuation,
     sqcl_group,
-    symbolic,
 )
 from hermlab.hermitian import HermFormDesc, canonical_involution, herm_is_isotropic
 from hermlab.quadform import (
@@ -298,7 +297,6 @@ def test_dim_five_forms_all_isotropic_height_one():
 
 def test_gff_base_refused():
     k = CDVField(GlobalFunctionField(9))
-    v = symbolic(GlobalFunctionField(9), "v")
     with pytest.raises(UnsupportedFieldError):
         qf_is_isotropic(QuadForm(k, (parse_class(k, "v"),)))
     with pytest.raises(UnsupportedFieldError):
