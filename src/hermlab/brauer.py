@@ -170,11 +170,10 @@ def bc_is_division(B: BrauerClass) -> DivisionKind:
     if not syms:
         return DivisionKind.SPLIT
     if len(syms) == 1:
-        a, b = syms[0]
-        if qf_is_isotropic(norm_form(a, b, B.field)):
+        if qf_is_isotropic(norm_form(*syms[0])):
             return DivisionKind.SPLIT
         return DivisionKind.QUATERNION
-    if not qf_is_isotropic(albert_form(syms[0], syms[1], B.field)):
+    if not qf_is_isotropic(albert_form(*syms)):
         return DivisionKind.BIQUATERNION
     return DivisionKind.SPLIT if bc_is_trivial(B) else DivisionKind.QUATERNION
 
@@ -291,9 +290,9 @@ def bc_extended_index(B: BrauerClass, lam: SquareClass, index: DivisionKind,
     witness = None
     syms = B_K.symbols
     if len(syms) == 1:
-        witness = norm_form(syms[0][0], syms[0][1], B_K.field)
+        witness = norm_form(*syms[0])
     elif len(syms) == 2:
-        witness = albert_form(syms[0], syms[1], B_K.field)
+        witness = albert_form(*syms)
     raise NotDivisionError(
         f"the algebra does not stay division over the extension "
         f"({index.value} became {after.value})", witness)

@@ -250,7 +250,7 @@ def lift(k: CDVField, residue_class: SquareClass) -> SquareClass:
 
 
 def sqcl_mul(k: FieldDesc, a: SquareClass, b: SquareClass) -> SquareClass:
-    if a.field != k or b.field != k:
+    if (a.field is not k and a.field != k) or (b.field is not k and b.field != k):
         raise FieldMismatchError(f"class product over {field_to_str(k)} got classes over "
                                  f"{field_to_str(a.field)} and {field_to_str(b.field)}")
     return SquareClass(k, a.data ^ b.data, a.names ^ b.names)

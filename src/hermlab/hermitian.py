@@ -25,9 +25,9 @@ from .errors import (
     InvalidExtensionError,
     UnsupportedShapeError,
 )
-from .fields import FieldDesc, SquareClass, minus_one, one, sqcl_group
-from .quadform import (QuadForm, _masks_isotropic, _product, max_anisotropic_rank,
-                       norm_form, qf_is_isotropic)
+from .fields import SquareClass, minus_one, one, sqcl_group, sqcl_mul
+from .quadform import (QuadForm, _masks_isotropic, max_anisotropic_rank, norm_form,
+                       qf_is_isotropic)
 
 
 class UKind(str, Enum):
@@ -112,18 +112,16 @@ class HermFormDesc:
 def reduced_quadratic(h: HermFormDesc) -> QuadForm:
     """The quadratic form whose isotropy decides that of h: its entries
     tensored, entry-major, with the norm form of the algebra's one symbol
-    (shape a) or with <1, -lam> (shape b).  The descriptor has checked
-    every field, so no product checks one again."""
+    (shape a) or with <1, -lam> (shape b)."""
     shape = h.shape
     k = h.algebra.field
     if shape == "a":
-        a, b = h.division[1].symbols[0]
-        template = norm_form(a, b, k).entries
+        template = norm_form(*h.division[1].symbols[0]).entries
     elif shape == "b":
         template = (one(k), minus_one(k) * h.involution.lam)
     else:
         raise UnsupportedShapeError("no concrete decider for this form shape")
-    return QuadForm(k, tuple(_product(k, c, t) for c in h.entries for t in template))
+    return QuadForm(k, tuple(sqcl_mul(k, c, t) for c in h.entries for t in template))
 
 
 def jacobson_quadratic(h: HermFormDesc) -> QuadForm:
@@ -147,10 +145,10 @@ def herm_is_isotropic(h: HermFormDesc) -> bool:
     return h.rank > 0 and qf_is_isotropic(reduced_quadratic(h))
 
 
-def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int, k: FieldDesc) -> int:
+def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int) -> int:
     """Largest rank of an anisotropic form of a supported shape, found by
     the subform-closed search of `max_anisotropic_rank` over entry tuples
-    of square-class masks of the base field.
+    of square-class masks of B's field k.
 
     Entries range over k*/k*^2, which is coarser than isometry but exact
     for suprema; permutation invariance lets the enumeration run over
@@ -158,8 +156,7 @@ def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int, k: FieldDesc) -> int
     The shape and its reduction are decided once per search: the
     reduction of <1> is the template each candidate is tensored with.
     """
-    if B.field != k:
-        raise FieldMismatchError("algebra class over the wrong field")
+    k = B.field
     probe = HermFormDesc(B, inv, eps, (one(k),))
     if probe.shape == "unsupported":
         raise UnsupportedShapeError("u search covers the two reducible shapes only")

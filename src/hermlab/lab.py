@@ -314,11 +314,6 @@ def choose_sigma(alg: LabAlgebra) -> Involution:
     return sigma
 
 
-def alpha_element(alg: LabAlgebra) -> QuaternionElt:
-    """alpha = i: skew under both supported involutions, with unit square."""
-    return basis_i(alg)
-
-
 @dataclass(frozen=True)
 class PidResult:
     pid: QuaternionElt
@@ -344,7 +339,7 @@ def choose_pid(alg: LabAlgebra, sigma: Involution, t: QuaternionElt) -> PidResul
         raise ValueError(f"parameter must have half-odd value, got {Fraction(wt, 2)}")
 
     ratio = sigma(t) * t.inverse()
-    alpha = alpha_element(alg)
+    alpha = basis_i(alg)  # skew under both supported involutions, with unit square
     checks = {}
     if residue_elt(ratio) == (1, 0):
         case = 1

@@ -32,6 +32,7 @@ from .fields import (
     smallest_nonresidue,
     split_valuation,
     sqcl_group,
+    sqcl_mul,
 )
 
 
@@ -280,25 +281,19 @@ def u_quadratic(k: FieldDesc) -> int:
                                 lambda masks: not _masks_isotropic(masks, m1))
 
 
-def _product(k: FieldDesc, a: SquareClass, b: SquareClass) -> SquareClass:
-    """a * b for classes whose field the caller has checked against k."""
-    return SquareClass(k, a.data ^ b.data, a.names ^ b.names)
-
-
-def norm_form(a: SquareClass, b: SquareClass, k: FieldDesc) -> QuadForm:
-    """The four-dimensional form <1, -a, -b, ab> with -1 folded into classes."""
-    if a.field != k or b.field != k:
-        raise FieldMismatchError("symbol slots over the wrong field")
+def norm_form(a: SquareClass, b: SquareClass) -> QuadForm:
+    """The four-dimensional form <1, -a, -b, ab> over the slots' field,
+    with -1 folded into classes."""
+    k = a.field
     m1 = minus_one(k)
-    return QuadForm(k, (one(k), _product(k, m1, a), _product(k, m1, b), _product(k, a, b)))
+    return QuadForm(k, (one(k), sqcl_mul(k, m1, a), sqcl_mul(k, m1, b), sqcl_mul(k, a, b)))
 
 
-def albert_form(s1, s2, k: FieldDesc) -> QuadForm:
-    """Six-dimensional form <a1, b1, -a1b1, -a2, -b2, a2b2> of a symbol pair."""
+def albert_form(s1, s2) -> QuadForm:
+    """Six-dimensional form <a1, b1, -a1b1, -a2, -b2, a2b2> of a symbol
+    pair, over the slots' field."""
     (a1, b1), (a2, b2) = s1, s2
-    for c in (a1, b1, a2, b2):
-        if c.field != k:
-            raise FieldMismatchError("symbol slots over the wrong field")
+    k = a1.field
     m1 = minus_one(k)
-    return QuadForm(k, (a1, b1, _product(k, _product(k, m1, a1), b1), _product(k, m1, a2),
-                        _product(k, m1, b2), _product(k, a2, b2)))
+    return QuadForm(k, (a1, b1, sqcl_mul(k, sqcl_mul(k, m1, a1), b1), sqcl_mul(k, m1, a2),
+                        sqcl_mul(k, m1, b2), sqcl_mul(k, a2, b2)))

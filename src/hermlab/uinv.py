@@ -149,12 +149,9 @@ class WitnessNode:
 
 @dataclass(frozen=True)
 class Witness:
-    field: FieldDesc
-    kind: UKind
     rank: int
     node: WitnessNode
-    entries: tuple = None   # flattened diagonal entries over field, when available
-    lam: SquareClass = None
+    entries: tuple = None   # flattened diagonal entries over B's field, when available
     verified: bool = False
 
 
@@ -167,7 +164,7 @@ def u_exact(B: BrauerClass, kind, lam: SquareClass = None,
     global-function-field residue, division facts the recursion needs must
     be asserted through the token "residue" and are echoed in the tree.
     """
-    step, _ = _walk(B, UKind(kind), lam, frozenset(assertions))
+    step = _walk(B, UKind(kind), lam, frozenset(assertions))
     return UResult(step.value, step.derivation)
 
 
@@ -186,13 +183,13 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
     kind = UKind(kind)
     if B.field != k:
         raise FieldMismatchError("class over the wrong field")
-    step, category = _walk(B, kind, lam, frozenset(assertions))
+    step = _walk(B, kind, lam, frozenset(assertions))
     rank, flat, ok = step.node.rank, step.flat, step.ok
     if rank != step.value:
         raise EngineError(f"witness rank {rank} disagrees with value {step.value}")
-    if flat is not None and not _verify_flat(category, kind, lam, flat):
+    if flat is not None and not _verify_flat(_category(B), kind, lam, flat):
         flat, ok = None, False
-    return Witness(k, kind, rank, step.node, flat, lam, ok)
+    return Witness(rank, step.node, flat, ok)
 
 
 def _verify_flat(category, kind: UKind, lam, entries) -> bool:
@@ -235,10 +232,8 @@ class _Step:
 _STEP_MEMO = 1024
 
 
-def _walk(B: BrauerClass, kind: UKind, lam, assertions):
-    """The walk from the top class: its step, and the `_category` pair
-    (index, division class) of the top class, which `witness` reuses to
-    re-verify flat entries."""
+def _walk(B: BrauerClass, kind: UKind, lam, assertions) -> _Step:
+    """The walk from the top class, after checking the extension class."""
     if kind is UKind.ZERO:
         if lam is None:
             raise InvalidExtensionError("unitary values need the extension class")
@@ -248,9 +243,8 @@ def _walk(B: BrauerClass, kind: UKind, lam, assertions):
             raise InvalidExtensionError("the trivial class defines no quadratic extension")
     elif lam is not None:
         raise InvalidExtensionError("first-kind values take no extension class")
-    step = (_unitary(B, lam, assertions) if kind is UKind.ZERO
+    return (_unitary(B, lam, assertions) if kind is UKind.ZERO
             else _first_kind(B, kind, assertions))
-    return step, _category(B)
 
 
 @lru_cache(maxsize=_STEP_MEMO)
@@ -310,6 +304,18 @@ def _entry_labels(entries) -> tuple:
     return tuple(class_to_str(c) for c in entries)
 
 
+def _finite_leaf(fl: str, cl: str, category, kind: UKind, entries,
+                 lam: SquareClass = None, note: str = None) -> _Step:
+    """Base value over a finite field; the witness is entries, a `quad`
+    node for the first kind or a `unitary` node over k(sqrt(lam)), checked
+    anisotropic by `_verify_flat`."""
+    node = WitnessNode("quad" if lam is None else "unitary", fl, len(entries),
+                       _entry_labels(entries), None if lam is None else class_to_str(lam))
+    return _Step(leaf("base:finite", fl, cl, kind.value, _FINITE_BASE[kind],
+                      _CITES["base:finite"], note),
+                 node, entries, _verify_flat(category, kind, lam, entries))
+
+
 def _double(rule: str, k: CDVField, class_label: str, kind: UKind,
             child: _Step, pre: tuple = (), note: str = None) -> _Step:
     """Doubling step; the witness is the lifted child next to its
@@ -359,11 +365,8 @@ def _first_kind(B: BrauerClass, kind: UKind, assertions) -> _Step:
                      WitnessNode("empty", fl, 0), ())
     if isinstance(k, FiniteField):
         # the norm form of the quadratic extension: <1, -nonsquare>
-        entries = (one(k), minus_one(k) * nonsquare_unit(k))
-        return _Step(leaf("base:finite", fl, cl, kind.value, _FINITE_BASE[kind],
-                          _CITES["base:finite"]),
-                     WitnessNode("quad", fl, len(entries), _entry_labels(entries)),
-                     entries, _verify_flat((index, Bn), kind, None, entries))
+        return _finite_leaf(fl, cl, (index, Bn), kind,
+                            (one(k), minus_one(k) * nonsquare_unit(k)))
     if isinstance(k, GlobalFunctionField):
         return _gff_leaf(fl, index, kind, cl, assertions)
 
@@ -412,13 +415,7 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     fl, cl = field_to_str(k), str(Bn)
     ext_note = f"extension by {class_to_str(lam)}"
     if isinstance(k, FiniteField):
-        entries = (one(k),)
-        return _Step(leaf("base:finite", fl, cl, UKind.ZERO.value,
-                          _FINITE_BASE[UKind.ZERO], _CITES["base:finite"],
-                          note=ext_note),
-                     WitnessNode("unitary", fl, len(entries), _entry_labels(entries),
-                                 lam=class_to_str(lam)),
-                     entries, _verify_flat((index, Bn), UKind.ZERO, lam, entries))
+        return _finite_leaf(fl, cl, (index, Bn), UKind.ZERO, (one(k),), lam, ext_note)
     if isinstance(k, GlobalFunctionField):
         return _gff_leaf(fl, index, UKind.ZERO, cl, assertions, ext_note)
 
@@ -731,7 +728,7 @@ def expected_table(p: int = 5, q: int = 9):
                    lambda: _with_children(u_exact(B1, UKind.MINUS)),
                    "residue recursion"),
         TableEntry("local", "quaternion minus, height 1, search", 1,
-                   lambda: u_search(B1, canonical_involution(), 1, k1),
+                   lambda: u_search(B1, canonical_involution(), 1),
                    "exhaustive search"),
         TableEntry("local", "unitary over the quadratic extension", 2,
                    lambda: u_exact(trivial_class(k1), UKind.ZERO,
@@ -739,7 +736,7 @@ def expected_table(p: int = 5, q: int = 9):
                    "residue recursion"),
         TableEntry("local", "unitary over the quadratic extension, search", 2,
                    lambda: u_search(trivial_class(k1),
-                                    unitary_involution(nonsquare_unit(k1)), 1, k1),
+                                    unitary_involution(nonsquare_unit(k1)), 1),
                    "exhaustive search"),
 
         TableEntry("completion", "unramified quaternion plus", (6, (3,)),
@@ -755,10 +752,10 @@ def expected_table(p: int = 5, q: int = 9):
                    lambda: _with_children(u_exact(B2r, UKind.MINUS)),
                    "residue recursion, ramified sum"),
         TableEntry("completion", "quaternion minus, search (unramified)", 2,
-                   lambda: u_search(B2u, canonical_involution(), 1, k2),
+                   lambda: u_search(B2u, canonical_involution(), 1),
                    "exhaustive search"),
         TableEntry("completion", "quaternion minus, search (ramified)", 2,
-                   lambda: u_search(B2r, canonical_involution(), 1, k2),
+                   lambda: u_search(B2r, canonical_involution(), 1),
                    "exhaustive search"),
 
         TableEntry("unitary", "field extension, height 2, unramified", 4,

@@ -76,7 +76,7 @@ def test_criterion_03_local_quaternion_values():
     B = parse_brauer(k, "(u,pi)")
     plus = u_exact(B, "plus")
     minus = u_exact(B, "minus")
-    searched = u_search(B, canonical_involution(), 1, k)
+    searched = u_search(B, canonical_involution(), 1)
     ok = (plus.value, minus.value, searched) == (3, 1, 1)
     report("criterion 3 (local quaternion 3/1, search agrees)", ok,
            f"recursion=({plus.value},{minus.value}), search={searched}")
@@ -96,8 +96,8 @@ def test_criterion_04_completion_quaternion_values():
         rp.value == 6 and child_values(rp.derivation) == (2, 4),
         rm.value == 2 and child_values(rm.derivation) == (2, 0),
     )
-    searched = (u_search(unram, canonical_involution(), 1, k),
-                u_search(ram, canonical_involution(), 1, k))
+    searched = (u_search(unram, canonical_involution(), 1),
+                u_search(ram, canonical_involution(), 1))
     elapsed = time.monotonic() - start
     report("criterion 4 (completion quaternion 6/2 both ways, search agrees)",
            all(shapes) and searched == (2, 2) and elapsed < 30,
@@ -108,7 +108,7 @@ def test_criterion_05_unitary_values():
     k1 = parse_field("CDV(F5)")
     k2 = parse_field("CDV(CDV(F5))")
     transfer = u_search(trivial_class(k1),
-                        unitary_involution(parse_class(k1, "u")), 1, k1)
+                        unitary_involution(parse_class(k1, "u")), 1)
     case2 = u_exact(parse_brauer(k2, "(u,t)"), "zero", parse_class(k2, "p"))
     case3 = u_exact(parse_brauer(k2, "(u,p)"), "zero", parse_class(k2, "t"))
     ok = (transfer == 2

@@ -83,7 +83,7 @@ def test_trivial_matches_norm_form_for_all_symbols():
         classes = sqcl_group(k)
         for a, b in product(classes, repeat=2):
             single = BrauerClass(k, ((a, b),))
-            assert bc_is_trivial(single) == qf_is_isotropic(norm_form(a, b, k)), \
+            assert bc_is_trivial(single) == qf_is_isotropic(norm_form(a, b)), \
                 str(single)
 
 

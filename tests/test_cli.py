@@ -310,6 +310,31 @@ def test_verify_unknown_section(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, q", [((), 9), (("--q", "25"), 25)])
+def test_verify_summary_names_p_and_q(capsys, argv, q):
+    code, out, _ = run(capsys, "verify", "paper", *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == f"OK: 38/38 checks passed at p=5, q={q}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--p", "0"), "finite base needs an odd prime, got 0"),
+    (("--p", "1"), "finite base needs an odd prime, got 1"),
+    (("--p", "4"), "finite base needs an odd prime, got 4"),
+    (("--p", "-3"), "unrecognized field descriptor: 'F-3'"),
+    (("--p", "10000000000000"),
+     "field size 10000000000000 is above the supported bound 1000000000000"),
+    (("--q", "0"), "constant field size must be an odd prime power, got 0"),
+    (("--q", "4"), "constant field size must be an odd prime power, got 4"),
+    (("--q", "8"), "constant field size must be an odd prime power, got 8"),
+    (("--only", "nonsense"), "unknown section 'nonsense'; pick one of bounds, completion, "
+                             "descent, gff, lab, local, oracle, sequence, unitary, uquad"),
+])
+def test_verify_bad_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "verify", "paper", *argv)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
 def test_verify_json(capsys):
     code, payload, _ = run_json(capsys, "verify", "paper", "--only", "sequence")
     assert code == 0

@@ -78,8 +78,8 @@ def test_shape_a_reduces_two_symbol_classes_first(field, stride, expected):
         B = BrauerClass(k, pair)
         index, reduced = morita_reduce(B)
         if index is DivisionKind.QUATERNION:
-            assert u_search(B, canonical_involution(), 1, k) == \
-                u_search(reduced, canonical_involution(), 1, k), str(B)
+            assert u_search(B, canonical_involution(), 1) == \
+                u_search(reduced, canonical_involution(), 1), str(B)
             checked += 1
     assert checked == expected
 
@@ -127,7 +127,7 @@ def test_unsupported_shapes_refused():
         with pytest.raises(UnsupportedShapeError, match="no concrete decider"):
             reduced_quadratic(h)
     with pytest.raises(UnsupportedShapeError):
-        u_search(B, canonical_involution(), -1, K1)
+        u_search(B, canonical_involution(), -1)
     with pytest.raises(UnsupportedShapeError, match="unknown involution kind"):
         InvolutionDesc("orthogonal")
 
@@ -163,10 +163,10 @@ def test_isotropy_invariant_under_permutation_and_scaling():
 
 
 def test_search_values():
-    assert u_search(parse_brauer(K1, "(u,pi)"), canonical_involution(), 1, K1) == 1
-    assert u_search(parse_brauer(K2, "(u,p)"), canonical_involution(), 1, K2) == 2
-    assert u_search(parse_brauer(K2, "(u,t)"), canonical_involution(), 1, K2) == 2
-    assert u_search(trivial_class(K1), unitary_involution(pc(K1, "u")), 1, K1) == 2
+    assert u_search(parse_brauer(K1, "(u,pi)"), canonical_involution(), 1) == 1
+    assert u_search(parse_brauer(K2, "(u,p)"), canonical_involution(), 1) == 2
+    assert u_search(parse_brauer(K2, "(u,t)"), canonical_involution(), 1) == 2
+    assert u_search(trivial_class(K1), unitary_involution(pc(K1, "u")), 1) == 2
 
 
 def test_transfer_search_halves_the_quadratic_value():
@@ -177,7 +177,7 @@ def test_transfer_search_halves_the_quadratic_value():
     ]
     for k, lam in cases:
         inv = unitary_involution(parse_class(k, lam))
-        assert u_search(trivial_class(k), inv, 1, k) == u_quadratic(k) // 2
+        assert u_search(trivial_class(k), inv, 1) == u_quadratic(k) // 2
 
 
 # The reductions take products without a field check.  Their entries, in
@@ -219,9 +219,9 @@ def test_norm_and_albert_forms_match_class_products(k):
     classes = sqcl_group(k)
     symbols = list(product(classes, repeat=2))
     for a, b in symbols:
-        assert norm_form(a, b, k).entries == _ref_norm_form(a, b, k)
+        assert norm_form(a, b).entries == _ref_norm_form(a, b, k)
     for s1, s2 in product(symbols, repeat=2):
-        assert albert_form(s1, s2, k).entries == _ref_albert_form(s1, s2, k)
+        assert albert_form(s1, s2).entries == _ref_albert_form(s1, s2, k)
 
 
 @pytest.mark.parametrize("k", HEIGHT_TWO, ids=str)

@@ -10,7 +10,7 @@ import pytest
 
 from hermlab import quadform
 from hermlab.brauer import parse_brauer
-from hermlab.errors import EngineError, UnsupportedFieldError
+from hermlab.errors import EngineError, FieldMismatchError, UnsupportedFieldError
 from hermlab.fields import (
     CDVField,
     FiniteField,
@@ -309,21 +309,32 @@ def test_gff_base_refused():
 
 def test_norm_form_resolves_minus_one():
     k3 = CDVField(F3)
-    q = norm_form(parse_class(k3, "u"), parse_class(k3, "pi"), k3)
+    q = norm_form(parse_class(k3, "u"), parse_class(k3, "pi"))
     assert str(q) == "<1,1,u*pi,u*pi>"
     assert not qf_is_isotropic(q)
-    q5 = norm_form(parse_class(K1, "1"), parse_class(K1, "pi"), K1)
+    q5 = norm_form(parse_class(K1, "1"), parse_class(K1, "pi"))
     assert qf_is_isotropic(q5)  # split symbol
 
 
 def test_albert_form_shapes():
     s = (parse_class(K2, "u"), parse_class(K2, "p"))
-    q = albert_form(s, s, K2)
+    q = albert_form(s, s)
     assert len(q.entries) == 6
     assert qf_is_isotropic(q)  # equal symbols never give a six-dimensional kernel
     one_ = parse_class(K2, "1")
-    q2 = albert_form((one_, one_), (one_, one_), K2)
+    q2 = albert_form((one_, one_), (one_, one_))
     assert qf_is_isotropic(q2)
+
+
+def test_norm_and_albert_forms_live_over_their_slots_field():
+    a, b = parse_class(K2, "u"), parse_class(K2, "p")
+    assert norm_form(a, b).field is K2 and albert_form((a, b), (b, a)).field is K2
+    stray = parse_class(K1, "u")
+    for build in (lambda: norm_form(a, stray), lambda: norm_form(stray, a),
+                  lambda: albert_form((a, b), (a, stray)),
+                  lambda: albert_form((stray, a), (a, b))):
+        with pytest.raises(FieldMismatchError):
+            build()
 
 
 def test_isotropy_path_logs_splits():

@@ -209,11 +209,11 @@ def test_derivation_audit_and_json_shape():
 
 def test_recursion_agrees_with_search():
     assert u_exact(parse_brauer(K1, "(u,pi)"), "minus").value == \
-        u_search(parse_brauer(K1, "(u,pi)"), canonical_involution(), 1, K1)
+        u_search(parse_brauer(K1, "(u,pi)"), canonical_involution(), 1)
     assert u_exact(parse_brauer(K2, "(u,p)"), "minus").value == \
-        u_search(parse_brauer(K2, "(u,p)"), canonical_involution(), 1, K2)
+        u_search(parse_brauer(K2, "(u,p)"), canonical_involution(), 1)
     assert u_exact(trivial_class(K1), "zero", pc(K1, "u")).value == \
-        u_search(trivial_class(K1), unitary_involution(pc(K1, "u")), 1, K1)
+        u_search(trivial_class(K1), unitary_involution(pc(K1, "u")), 1)
 
 
 def test_values_stay_under_the_degree_bounds():
@@ -350,6 +350,26 @@ def test_tensor_bounds():
     assert len(steps) == 1 and "takes left" in steps[0].cite
 
 
+def test_tensor_bounds_render_their_product_nodes():
+    derivation = bounds_tensor(2, 8).derivation
+    assert [c.chain() for c in derivation.children] == [
+        "tensor-bound: 29/16*8=29/2", "tensor-bound: 13/16*8=13/2",
+        "tensor-bound: 55/32*8=55/4", "induction-step: 29/16"]
+    assert derivation.render().splitlines() == [
+        "tensor-bounds: None  [- over -, class 2 quaternion factors]",
+        "  tensor-bound: 29/16*8=29/2  [plus over -, class 2 quaternion factors]",
+        "    seq:closed-form: 29/16  [plus over -, class -]",
+        "    base-u: 8  [- over -, class -]",
+        "  tensor-bound: 13/16*8=13/2  [minus over -, class 2 quaternion factors]",
+        "    seq:closed-form: 13/16  [minus over -, class -]",
+        "    base-u: 8  [- over -, class -]",
+        "  tensor-bound: 55/32*8=55/4  [zero over -, class 2 quaternion factors]",
+        "    seq:closed-form: 55/32  [zero over -, class -]",
+        "    base-u: 8  [- over -, class -]",
+        "  induction-step: 29/16  [- over -, class -]",
+    ]
+
+
 def test_tensor_factor_count_is_bounded():
     def timeout(signum, frame):
         raise TimeoutError("bounds_tensor(100000) did not return")
@@ -466,7 +486,7 @@ def test_every_division_symbol_over_height_two(p):
         division += 1
         assert u_exact(B, "plus").value == 6
         assert u_exact(B, "minus").value == 2
-        assert u_search(B, canonical_involution(), 1, k2) == 2
+        assert u_search(B, canonical_involution(), 1) == 2
         wm = witness(B, k2, "minus")
         assert wm.rank == 2 and wm.verified
         for lam in classes:
@@ -510,14 +530,14 @@ def test_shape_a_search_matches_recursion_at_height_three():
     classes = _quaternion_index_classes(K3)
     assert len(classes) == 35
     for B in classes:
-        assert u_search(B, canonical_involution(), 1, K3) == u_exact(B, "minus").value, str(B)
+        assert u_search(B, canonical_involution(), 1) == u_exact(B, "minus").value, str(B)
 
 
 def test_shape_b_search_matches_recursion_at_height_three():
     lams = sqcl_group(K3)[1:]
     assert len(lams) == 15
     for lam in lams:
-        assert (u_search(trivial_class(K3), unitary_involution(lam), 1, K3)
+        assert (u_search(trivial_class(K3), unitary_involution(lam), 1)
                 == u_exact(trivial_class(K3), "zero", lam).value), class_to_str(lam)
 
 
