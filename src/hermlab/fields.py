@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .errors import (
@@ -36,6 +35,11 @@ from .errors import (
 # Primality is decided by trial division, about sqrt(n) steps.  Sizes above
 # this bound (a fraction of a second of division) are refused, not tested.
 MAX_FIELD_SIZE = 10 ** 12
+
+# Descriptors compare, hash and print by recursion over their layers, and
+# parse_field recurses once per CDV layer; descriptors that nest more CDV
+# layers than this are refused before any recursion.
+MAX_FIELD_HEIGHT = 64
 
 
 def _least_prime_factor(n: int) -> int:
@@ -170,6 +174,8 @@ _QPT_RE = re.compile(r"^Qp\(\(t\)\)\[p=(\d+)\]$")
 def parse_field(text: str) -> FieldDesc:
     """Parse the field grammar: F5, F5^2, GFF(9), CDV(...), Qp[p=5], Qp((t))[p=5]."""
     s = text.strip().replace(" ", "")
+    if s.startswith("CDV(" * (MAX_FIELD_HEIGHT + 1)):
+        raise ParseError(f"a field descriptor nests at most {MAX_FIELD_HEIGHT} CDV layers")
     try:
         m = _QP_RE.match(s)
         if m:
@@ -273,10 +279,9 @@ def minus_one(k: FieldDesc) -> SquareClass:
     return SquareClass(k, base.minus_one_bit)
 
 
-@lru_cache(maxsize=64)
 def smallest_nonresidue(p: int) -> int:
-    """Least positive quadratic nonresidue mod an odd prime, memoised per
-    prime; callers check the prime against the field bound first."""
+    """Least positive quadratic nonresidue mod an odd prime; callers check
+    the prime against the field bound first and memoise per prime."""
     for n in range(2, p):
         if pow(n, (p - 1) // 2, p) == p - 1:
             return n

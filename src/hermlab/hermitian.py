@@ -95,32 +95,33 @@ class HermFormDesc:
         return len(self.entries)
 
     @cached_property
-    def division(self):
-        """`morita_reduce` of the algebra, decided once per descriptor."""
-        return morita_reduce(self.algebra)
+    def template(self):
+        """The form each entry is tensored with, decided once per descriptor:
+        the norm form of the Morita representative's one symbol (shape a),
+        <1, -lam> (shape b), or None for an unsupported shape."""
+        if self.involution.kind == "symplectic" and self.eps == 1:
+            kind, division = morita_reduce(self.algebra)
+            if kind is DivisionKind.QUATERNION:
+                return norm_form(*division.symbols[0]).entries
+        elif self.involution.kind == "unitary" and not self.algebra.effective_symbols:
+            k = self.algebra.field
+            return (one(k), minus_one(k) * self.involution.lam)
+        return None
 
-    @cached_property
+    @property
     def shape(self) -> str:
-        if (self.involution.kind == "symplectic" and self.eps == 1
-                and self.division[0] is DivisionKind.QUATERNION):
-            return "a"
-        if self.involution.kind == "unitary" and not self.algebra.effective_symbols:
-            return "b"
-        return "unsupported"
+        if self.template is None:
+            return "unsupported"
+        return "a" if self.involution.kind == "symplectic" else "b"
 
 
 def reduced_quadratic(h: HermFormDesc) -> QuadForm:
     """The quadratic form whose isotropy decides that of h: its entries
-    tensored, entry-major, with the norm form of the algebra's one symbol
-    (shape a) or with <1, -lam> (shape b)."""
-    shape = h.shape
-    k = h.algebra.field
-    if shape == "a":
-        template = norm_form(*h.division[1].symbols[0]).entries
-    elif shape == "b":
-        template = (one(k), minus_one(k) * h.involution.lam)
-    else:
+    tensored, entry-major, with the descriptor's template."""
+    template = h.template
+    if template is None:
         raise UnsupportedShapeError("no concrete decider for this form shape")
+    k = h.algebra.field
     return QuadForm(k, tuple(sqcl_mul(k, c, t) for c in h.entries for t in template))
 
 
@@ -153,14 +154,13 @@ def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int) -> int:
     Entries range over k*/k*^2, which is coarser than isometry but exact
     for suprema; permutation invariance lets the enumeration run over
     sorted tuples, and subforms of anisotropic forms stay anisotropic.
-    The shape and its reduction are decided once per search: the
-    reduction of <1> is the template each candidate is tensored with.
+    The template is read once from a descriptor with no entries.
     """
     k = B.field
-    probe = HermFormDesc(B, inv, eps, (one(k),))
-    if probe.shape == "unsupported":
+    template = HermFormDesc(B, inv, eps, ()).template
+    if template is None:
         raise UnsupportedShapeError("u search covers the two reducible shapes only")
-    template = [t.data for t in reduced_quadratic(probe).entries]
+    template = [t.data for t in template]
     m1 = minus_one(k).data
     return max_anisotropic_rank(
         [c.data for c in sqcl_group(k)],

@@ -38,21 +38,6 @@ from .fields import (
 from .quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle
 
 
-def vp(x: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    return split_valuation(Fraction(x), p)[0]
-
-
-def residue_rational(x: Fraction, p: int) -> int:
-    """Image mod p of a p-integral rational."""
-    x = Fraction(x)
-    if x != 0 and vp(x, p) < 0:
-        raise ValueError(f"{x} is not p-integral at {p}")
-    num = x.numerator % p
-    den = x.denominator % p
-    return num * pow(den, p - 2, p) % p
-
-
 @dataclass(frozen=True)
 class LabAlgebra:
     """Quaternion presentation (a, b) over the p-adic rationals."""
@@ -62,10 +47,11 @@ class LabAlgebra:
     p: int
 
     def __post_init__(self):
-        FiniteField(self.p)  # an odd prime within the size bound, so vp ends
-        if self.a == 0 or vp(self.a, self.p) != 0:
+        FiniteField(self.p)  # an odd prime within the size bound, so the split ends
+        if self.a == 0 or (split := split_valuation(self.a, self.p))[0] != 0:
             raise ValueError(f"slot a = {self.a} of the symbol is not a "
                              f"{self.p}-adic unit")
+        _, num, den = split  # a = num/den, both prime to p
         # The slots with their denominators cleared once: a = A/da, b = B/db
         # and D = da*db, so D times a product or a norm is an integer form in
         # the numerators.
@@ -75,7 +61,7 @@ class LabAlgebra:
                                               b.numerator * da, a.numerator * b.numerator))
         # Read per decomposition and per memo lookup: the residue of a, and
         # the hash, so that no lookup goes through Fraction.__hash__.
-        object.__setattr__(self, "_a_residue", residue_rational(a, self.p))
+        object.__setattr__(self, "_a_residue", num * pow(den, -1, self.p) % self.p)
         object.__setattr__(self, "_hash", hash((self.a, self.b, self.p)))
 
     def __hash__(self) -> int:
@@ -97,7 +83,8 @@ class LabAlgebra:
 @lru_cache(maxsize=64)
 def standard_algebra(p: int) -> LabAlgebra:
     """(u, p) with u the least positive nonresidue mod p, memoised per
-    prime like smallest_nonresidue; a non-prime p raises on every call."""
+    prime, so smallest_nonresidue runs once per prime here; a non-prime p
+    raises on every call."""
     FiniteField(p)  # an odd prime within the size bound, so the search ends
     return LabAlgebra(Fraction(smallest_nonresidue(p)), Fraction(p), p)
 

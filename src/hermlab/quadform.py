@@ -174,7 +174,7 @@ def _is_square(pair, p: int) -> bool:
     return v % 2 == 0 and legendre(u, p) == 1
 
 
-# Four masks per prime: the same primes as smallest_nonresidue's memo.
+# Four masks per prime, for as many primes as standard_algebra's memo.
 @lru_cache(maxsize=4 * 64)
 def _lift_pair(p: int, data: int):
     """(valuation, unit mod p) of the integer lift of mask ``data`` over

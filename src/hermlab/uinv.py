@@ -64,7 +64,6 @@ from .fields import (
     minus_one,
     nonsquare_unit,
     one,
-    parse_field,
     quadratic_extension,
     transport,
     uniformizer,
@@ -519,10 +518,8 @@ def sequence_abc_recursive(n: int) -> ABCSequence:
 
 def sequence_abc(n: int) -> ABCSequence:
     """Closed-form triple; the recursive evaluation must agree exactly."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    rec = sequence_abc_recursive(n)  # refuses n < 1 first
     a, b, c = _abc_closed(n)
-    rec = sequence_abc_recursive(n)
     if (a, b, c) != (rec.a, rec.b, rec.c):
         raise EngineError(f"closed form and recursion disagree at n={n}")
     return ABCSequence(n, a, b, c)
@@ -630,7 +627,6 @@ def tensor_comparison_bound(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class DescentResult:
-    shape: str
     values: object
     derivations: tuple
 
@@ -644,9 +640,9 @@ def semi_global_combine(shape: str, upper, lower) -> DescentResult:
     supported instances the two sides always meet.
     """
     if shape in ("quaternion", "biquaternion"):
-        pairs = list(zip(("plus", "minus"), upper, lower))
+        pairs, pack = list(zip(("plus", "minus"), upper, lower)), tuple
     elif shape == "unitary":
-        pairs = [("zero", upper, lower)]
+        pairs, pack = [("zero", upper, lower)], lambda values: values[0]
     else:
         raise ValueError(f"unknown shape {shape!r}")
     values = []
@@ -667,9 +663,7 @@ def semi_global_combine(shape: str, upper, lower) -> DescentResult:
             "equal")
         values.append(comp_value)
         derivations.append(node)
-    if shape == "unitary":
-        return DescentResult(shape, values[0], tuple(derivations))
-    return DescentResult(shape, tuple(values), tuple(derivations))
+    return DescentResult(pack(values), tuple(derivations))
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +697,10 @@ def expected_table(p: int = 5, q: int = 9):
     the arithmetic shape of the derivation, e.g. 6 via 2+4 versus 6 via
     2*3.
     """
-    k0 = parse_field(f"F{p}")
-    k1 = parse_field(f"CDV(F{p})")
-    k2 = parse_field(f"CDV(CDV(F{p}))")
-    kg = parse_field(f"CDV(GFF({q}))")
+    k0 = FiniteField(p)
+    k1 = CDVField(k0)
+    k2 = CDVField(k1)
+    kg = CDVField(GlobalFunctionField(q))
     B1 = parse_brauer(k1, "(u,pi)")
     B2u = parse_brauer(k2, "(u,p)")
     B2r = parse_brauer(k2, "(u,t)")

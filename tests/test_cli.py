@@ -73,6 +73,20 @@ def test_usage_error_exit_code(capsys):
     assert code == 1  # unitary kind without the extension class
 
 
+def test_deeply_nested_fields_are_a_usage_error(capsys):
+    def nested(layers):
+        return "CDV(" * layers + "F5" + ")" * layers
+
+    refusal = "usage error: a field descriptor nests at most 64 CDV layers\n"
+    for argv in (("isotropy", "quad", "--field", nested(1000), "--form", "1,u"),
+                 ("uinv", "exact", "--field", nested(500), "--class", "(u,pi)",
+                  "--type", "plus")):
+        assert run(capsys, *argv) == (1, "", refusal)
+    code, out, _ = run(capsys, "uinv", "exact", "--field", nested(64), "--class", "(u,pi)",
+                       "--type", "plus")
+    assert code == 0 and out.startswith(f"u[plus] = {3 * 2 ** 63}\n")
+
+
 def test_quad_json_payload(capsys):
     code, payload, _ = run_json(capsys, "isotropy", "quad", "--field", "CDV(F5)",
                                 "--form", "1,u,pi,u*pi", "--oracle")
@@ -321,7 +335,7 @@ def test_verify_summary_names_p_and_q(capsys, argv, q):
     (("--p", "0"), "finite base needs an odd prime, got 0"),
     (("--p", "1"), "finite base needs an odd prime, got 1"),
     (("--p", "4"), "finite base needs an odd prime, got 4"),
-    (("--p", "-3"), "unrecognized field descriptor: 'F-3'"),
+    (("--p", "-3"), "finite base needs an odd prime, got -3"),
     (("--p", "10000000000000"),
      "field size 10000000000000 is above the supported bound 1000000000000"),
     (("--q", "0"), "constant field size must be an odd prime power, got 0"),
@@ -329,6 +343,7 @@ def test_verify_summary_names_p_and_q(capsys, argv, q):
     (("--q", "8"), "constant field size must be an odd prime power, got 8"),
     (("--only", "nonsense"), "unknown section 'nonsense'; pick one of bounds, completion, "
                              "descent, gff, lab, local, oracle, sequence, unitary, uquad"),
+    (("--q", "-3"), "constant field size must be an odd prime power, got -3"),
 ])
 def test_verify_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, "verify", "paper", *argv)

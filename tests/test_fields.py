@@ -13,6 +13,7 @@ from hermlab.errors import (
     UnsupportedFieldError,
 )
 from hermlab.fields import (
+    MAX_FIELD_HEIGHT,
     MAX_FIELD_SIZE,
     CDVField,
     FiniteField,
@@ -221,6 +222,20 @@ def test_field_sizes_above_the_bound_are_refused():
     with pytest.raises(ParseError, match="supported bound"):
         parse_field(f"CDV(F{MAX_FIELD_SIZE + 39})")
     assert FiniteField(1000003).p == 1000003
+
+
+def _nested(layers, base="F5"):
+    return "CDV(" * layers + base + ")" * layers
+
+
+def test_field_towers_above_the_layer_bound_are_refused():
+    assert height(parse_field(_nested(MAX_FIELD_HEIGHT))) == MAX_FIELD_HEIGHT
+    assert height(parse_field(_nested(MAX_FIELD_HEIGHT - 1, "Qp((t))[p=5]"))) \
+        == MAX_FIELD_HEIGHT + 1
+    # refused before the parser recurses, however deep the nesting
+    for layers in (MAX_FIELD_HEIGHT + 1, 1000, 100_000):
+        with pytest.raises(ParseError, match=f"at most {MAX_FIELD_HEIGHT} CDV layers"):
+            parse_field(_nested(layers))
 
 
 def _accepts(make, n) -> bool:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlab.errors import EngineError, UnsupportedShapeError
-from hermlab.fields import class_of_rational
+from hermlab.fields import class_of_rational, split_valuation
 from hermlab.lab import (
     LabAlgebra,
     LarmourResult,
@@ -26,10 +26,8 @@ from hermlab.lab import (
     jacobson_verdict,
     larmour_decompose,
     residue_elt,
-    residue_rational,
     scalar,
     standard_algebra,
-    vp,
     w_value,
 )
 from hermlab.quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle
@@ -43,12 +41,37 @@ def make(c, alg=ALG):
     return QuaternionElt(alg, tuple(Fraction(x) for x in c))
 
 
+def _residue(x, p):
+    """Image mod p of a p-integral rational, by search: the r with p | x - r."""
+    x = Fraction(x)
+    return next(r for r in range(p) if (x - r).numerator % p == 0)
+
+
 def test_padic_rational_valuation_and_residue():
     x, y = Fraction(50, 3), Fraction(2, 5)
-    assert vp(x, 5) == 2
-    assert vp(y, 5) == -1
-    assert vp(x * y, 5) == 1
-    assert residue_rational(Fraction(7, 3), 5) == (7 * pow(3, 3, 5)) % 5
+    assert split_valuation(x, 5) == (2, 2, 3)
+    assert split_valuation(y, 5) == (-1, 2, 1)
+    assert split_valuation(x * y, 5)[0] == 1
+    assert _residue(Fraction(7, 3), 5) == (7 * pow(3, 3, 5)) % 5
+
+
+def test_slot_a_residue_matches_brute_force():
+    rng = random.Random(20)
+    algs = [LabAlgebra(2, 5, 5), LabAlgebra(-3, 5, 5), standard_algebra(7)] + LATTICE_ALGEBRAS
+    for p in (3, 5, 7, 11):
+        for _ in range(20):
+            num, den = (rng.choice([n for n in range(-60, 61) if n % p])
+                        for _ in range(2))
+            algs.append(LabAlgebra(Fraction(num, abs(den)), Fraction(p), p))
+    for alg in algs:
+        assert alg._a_residue == _residue(alg.a, alg.p), alg
+
+
+@pytest.mark.parametrize("a", [0, 5, Fraction(1, 5)])
+def test_slot_a_must_be_a_unit(a):
+    with pytest.raises(ValueError) as exc:
+        LabAlgebra(a, Fraction(5), 5)
+    assert str(exc.value) == f"slot a = {a} of the symbol is not a 5-adic unit"
 
 
 def test_standard_algebra_is_division():
@@ -409,7 +432,7 @@ def _larmour_by_fractions(entries, sigma, pid, eps=1):
                 raise EngineError("twisted entry has the wrong symmetry")
             h2_entries.append(residue_elt(unit))
 
-    u = residue_rational(alg.a, alg.p)
+    u = _residue(alg.a, alg.p)
     h1 = ResidueForm(alg.p, u, tuple(h1_entries), kind1, eps)
     h2 = ResidueForm(alg.p, u, tuple(h2_entries), kind2, eps * eps_prime)
     return LarmourResult(h1, h2)
@@ -555,7 +578,7 @@ def test_algebras_with_int_and_fraction_slots_share_one_parameter_entry():
         assert _parameter_data.cache_info().hits == hits + (alg is algs[1])
     assert _parameter_data.cache_info().currsize == 1
     assert results[0] == results[1]
-    assert results[0].h1.u == results[1].h2.u == residue_rational(2, 5) == 2
+    assert results[0].h1.u == results[1].h2.u == _residue(2, 5) == 2
 
 
 def test_residue_square_classes():
