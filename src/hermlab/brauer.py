@@ -22,7 +22,6 @@ from functools import lru_cache
 from .errors import (
     EngineError,
     FieldMismatchError,
-    InvalidExtensionError,
     NotDivisionError,
     UnsupportedClassError,
     UnsupportedFieldError,
@@ -33,6 +32,7 @@ from .fields import (
     SquareClass,
     TransitionMap,
     base_field,
+    check_extension_class,
     class_to_str,
     height,
     is_finite_based,
@@ -251,16 +251,12 @@ def classify_unitary_case(B: BrauerClass, lam: SquareClass) -> UnitaryCaseResult
     k = B.field
     if not isinstance(k, CDVField):
         raise UnsupportedFieldError("case classification needs a valued layer")
-    if lam.field != k:
-        raise FieldMismatchError("extension class over the wrong field")
-    if lam.is_one:
-        raise InvalidExtensionError("the trivial class defines no quadratic extension")
+    check_extension_class(k, lam)
 
     ram = bc_ramification(B)
     lam_unit, lam_vpar = lam.decompose()
     if lam_vpar:
-        _, ext_map = quadratic_extension(k, lam)
-        ext_ram = bc_ramification(bc_base_change(B, ext_map))
+        ext_ram = bc_ramification(bc_base_change(B, quadratic_extension(k, lam)))
         if not ext_ram.character.is_one:
             raise EngineError("a ramified extension left the algebra ramified")
         return UnitaryCaseResult(UnitaryCase.CASE3, ram.character,
@@ -282,8 +278,7 @@ def bc_extended_index(B: BrauerClass, lam: SquareClass, index: DivisionKind,
     """
     if index is DivisionKind.SPLIT:
         return index
-    _, ext_map = quadratic_extension(B.field, lam)
-    B_K = bc_base_change(B, ext_map)
+    B_K = bc_base_change(B, quadratic_extension(B.field, lam))
     after = bc_is_division(B_K)
     if after is index or (morita and after is DivisionKind.SPLIT):
         return after

@@ -403,8 +403,18 @@ def transport(m: TransitionMap, a: SquareClass) -> SquareClass:
     return SquareClass(m.target, a.data, a.names)
 
 
-def quadratic_extension(k: FieldDesc, lam: SquareClass):
-    """Extension k(sqrt(lam)) together with the class-transport map.
+def check_extension_class(k: FieldDesc, lam: SquareClass) -> None:
+    """Refuse lam unless it names a quadratic extension of k: a class over
+    k other than 1."""
+    if lam.field != k:
+        raise FieldMismatchError("extension class over the wrong field")
+    if lam.is_one:
+        raise InvalidExtensionError("the trivial class defines no quadratic extension")
+
+
+def quadratic_extension(k: FieldDesc, lam: SquareClass) -> TransitionMap:
+    """The class-transport map of the extension k(sqrt(lam)); its target
+    is the extended field.
 
     Over a finite base the result is the quadratic field extension and
     every class becomes a square.  Over a valued layer a unit class
@@ -413,10 +423,7 @@ def quadratic_extension(k: FieldDesc, lam: SquareClass):
     is k itself unless lam is the base nonsquare u, which extends the
     base to F_{p^2e} under the same valued layers.
     """
-    if lam.field != k:
-        raise FieldMismatchError("extension class must live over the field")
-    if lam.is_one:
-        raise InvalidExtensionError("the trivial class defines no quadratic extension")
+    check_extension_class(k, lam)
     if not lam.data:
         raise UnsupportedFieldError("no symbolic extension operator over a global function field")
     target = k
@@ -425,4 +432,4 @@ def quadratic_extension(k: FieldDesc, lam: SquareClass):
         target = FiniteField(base.p, 2 * base.e)
         for _ in range(height(k)):
             target = CDVField(target)
-    return target, TransitionMap(k, target, lam)
+    return TransitionMap(k, target, lam)

@@ -20,12 +20,9 @@ from enum import Enum
 from functools import cached_property
 
 from .brauer import BrauerClass, DivisionKind, bc_is_division, bc_single_symbol_rep
-from .errors import (
-    FieldMismatchError,
-    InvalidExtensionError,
-    UnsupportedShapeError,
-)
-from .fields import SquareClass, minus_one, one, sqcl_group, sqcl_mul
+from .errors import FieldMismatchError, UnsupportedShapeError
+from .fields import (SquareClass, check_extension_class, minus_one, one, sqcl_group,
+                     sqcl_mul)
 from .quadform import (QuadForm, _masks_isotropic, max_anisotropic_rank, norm_form,
                        qf_is_isotropic)
 
@@ -38,22 +35,15 @@ class UKind(str, Enum):
 
 @dataclass(frozen=True)
 class InvolutionDesc:
-    """kind is "symplectic" or "unitary"; unitary carries the class lam
-    defining the fixed quadratic extension."""
+    """The canonical involution (lam None) or the unitary one over
+    k(sqrt(lam)); lam alone decides the kind, since an involution is of
+    the second kind exactly when it moves the centre."""
 
-    kind: str
     lam: SquareClass = None
 
     def __post_init__(self):
-        if self.kind not in ("symplectic", "unitary"):
-            raise UnsupportedShapeError(f"unknown involution kind {self.kind!r}")
-        if self.kind == "unitary":
-            if self.lam is None:
-                raise InvalidExtensionError("a unitary involution needs the extension class")
-            if self.lam.is_one:
-                raise InvalidExtensionError("the trivial class defines no quadratic extension")
-        elif self.lam is not None:
-            raise UnsupportedShapeError("only unitary involutions carry an extension class")
+        if self.lam is not None:
+            check_extension_class(self.lam.field, self.lam)
 
 
 def morita_reduce(B: BrauerClass):
@@ -87,8 +77,8 @@ class HermFormDesc:
         for c in self.entries:
             if c.field != k:
                 raise FieldMismatchError("form entry over the wrong field")
-        if self.involution.kind == "unitary" and self.involution.lam.field != k:
-            raise FieldMismatchError("extension class over the wrong field")
+        if self.involution.lam is not None:
+            check_extension_class(k, self.involution.lam)
 
     @property
     def rank(self) -> int:
@@ -99,20 +89,21 @@ class HermFormDesc:
         """The form each entry is tensored with, decided once per descriptor:
         the norm form of the Morita representative's one symbol (shape a),
         <1, -lam> (shape b), or None for an unsupported shape."""
-        if self.involution.kind == "symplectic" and self.eps == 1:
+        lam = self.involution.lam
+        if lam is None and self.eps == 1:
             kind, division = morita_reduce(self.algebra)
             if kind is DivisionKind.QUATERNION:
                 return norm_form(*division.symbols[0]).entries
-        elif self.involution.kind == "unitary" and not self.algebra.effective_symbols:
+        elif lam is not None and not self.algebra.effective_symbols:
             k = self.algebra.field
-            return (one(k), minus_one(k) * self.involution.lam)
+            return (one(k), minus_one(k) * lam)
         return None
 
     @property
     def shape(self) -> str:
         if self.template is None:
             return "unsupported"
-        return "a" if self.involution.kind == "symplectic" else "b"
+        return "a" if self.involution.lam is None else "b"
 
 
 def reduced_quadratic(h: HermFormDesc) -> QuadForm:
@@ -168,8 +159,8 @@ def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int) -> int:
 
 
 def canonical_involution() -> InvolutionDesc:
-    return InvolutionDesc("symplectic")
+    return InvolutionDesc()
 
 
 def unitary_involution(lam: SquareClass) -> InvolutionDesc:
-    return InvolutionDesc("unitary", lam)
+    return InvolutionDesc(lam)

@@ -57,6 +57,7 @@ from .fields import (
     FiniteField,
     GlobalFunctionField,
     SquareClass,
+    check_extension_class,
     class_to_str,
     field_to_str,
     is_finite_based,
@@ -236,10 +237,7 @@ def _walk(B: BrauerClass, kind: UKind, lam, assertions) -> _Step:
     if kind is UKind.ZERO:
         if lam is None:
             raise InvalidExtensionError("unitary values need the extension class")
-        if lam.field != B.field:
-            raise FieldMismatchError("extension class over the wrong field")
-        if lam.is_one:
-            raise InvalidExtensionError("the trivial class defines no quadratic extension")
+        check_extension_class(B.field, lam)
     elif lam is not None:
         raise InvalidExtensionError("first-kind values take no extension class")
     return (_unitary(B, lam, assertions) if kind is UKind.ZERO
@@ -387,7 +385,7 @@ def _over_extension(res: FieldDesc, R0: BrauerClass, c: SquareClass,
     if isinstance(res, GlobalFunctionField):
         return _gff_leaf(f"GFF({res.q})[sqrt({class_to_str(c)})]",
                          _gff_category(R0), kind, str(R0), assertions)
-    _, ext_map = quadratic_extension(res, c)
+    ext_map = quadratic_extension(res, c)
     R = bc_base_change(R0, ext_map)
     if kind is UKind.ZERO:
         return _unitary(R, transport(ext_map, lam), assertions, morita=True)
@@ -401,11 +399,11 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
 
     With morita set (internal residue-algebra presentations), a class that
     splits over the extension is reduced to its center first; without it
-    (the public precondition), that situation is an error.
+    (the public precondition), that situation is an error.  `_walk` checks
+    the top lam; every lam below (a ramified character, lam's unit part in
+    case 1, its transport in case 2) is nontrivial by the case analysis.
     """
     k = B.field
-    if lam.is_one:
-        raise InvalidExtensionError("the trivial class defines no quadratic extension")
     index, Bn = _category(B)
     reduced_note = ""
     if is_finite_based(k) and bc_extended_index(Bn, lam, index, morita) is not index:

@@ -169,41 +169,41 @@ def test_extension_by_one_rejected():
 
 
 def test_finite_extension_kills_everything():
-    target, m = quadratic_extension(F5, nonsquare_unit(F5))
-    assert target == FiniteField(5, 2)
+    m = quadratic_extension(F5, nonsquare_unit(F5))
+    assert m.target == FiniteField(5, 2)
     assert transport(m, nonsquare_unit(F5)).is_one
     assert transport(m, one(F5)).is_one
 
 
 def test_unramified_extension_keeps_parity():
     lam = parse_class(K1, "u")
-    target, m = quadratic_extension(K1, lam)
-    assert target == CDVField(FiniteField(5, 2))
+    m = quadratic_extension(K1, lam)
+    assert m.target == CDVField(FiniteField(5, 2))
     assert class_to_str(transport(m, parse_class(K1, "u*pi"))) == "pi"
-    assert transport(m, parse_class(K1, "pi")) == uniformizer(target)
+    assert transport(m, parse_class(K1, "pi")) == uniformizer(m.target)
 
 
 def test_ramified_extension_folds_uniformizer():
     lam = parse_class(K1, "pi")
-    target, m = quadratic_extension(K1, lam)
-    assert target == K1  # same descriptor, new uniformizer via the map only
+    m = quadratic_extension(K1, lam)
+    assert m.target == K1  # same descriptor, new uniformizer via the map only
     assert class_to_str(transport(m, parse_class(K1, "u*pi"))) == "u"
     lam2 = parse_class(K1, "u*pi")
-    _, m2 = quadratic_extension(K1, lam2)
+    m2 = quadratic_extension(K1, lam2)
     assert class_to_str(transport(m2, parse_class(K1, "pi"))) == "u"
 
 
 def test_transport_kills_extension_class_and_is_homomorphic():
     for k in (F5, K1, K2):
         classes = sqcl_group(k)
-        for lam, (target, m) in _all_extensions(k):
+        for lam, m in _all_extensions(k):
             assert transport(m, lam).is_one
             for a, b in product(classes, repeat=2):
                 assert transport(m, a * b) == transport(m, a) * transport(m, b)
 
 
 def test_transport_rejects_wrong_source():
-    _, m = quadratic_extension(K1, parse_class(K1, "u"))
+    m = quadratic_extension(K1, parse_class(K1, "u"))
     with pytest.raises(FieldMismatchError):
         transport(m, one(K2))
 
@@ -369,12 +369,12 @@ def _assert_calculus_agrees(k, pairs):
 
 
 def _assert_transport_agrees(k, lam, rlam, pairs):
-    target, m = quadratic_extension(k, lam)
+    m = quadratic_extension(k, lam)
     rtarget, rm = _ref_extension(k, rlam)
-    assert target == rtarget
+    assert m.target == rtarget
     for c, r in pairs:
         moved = transport(m, c)
-        assert moved.field == target
+        assert moved.field == m.target
         assert class_to_str(moved) == _ref_str(k, _ref_transport(k, rm, r))
 
 

@@ -25,7 +25,6 @@ from hermlab.fields import (
 )
 from hermlab.hermitian import (
     HermFormDesc,
-    InvolutionDesc,
     canonical_involution,
     herm_is_isotropic,
     jacobson_quadratic,
@@ -49,8 +48,6 @@ def pc(k, s):
 def test_unitary_involution_needs_nontrivial_class():
     with pytest.raises(InvalidExtensionError):
         unitary_involution(pc(K1, "1"))
-    with pytest.raises(InvalidExtensionError):
-        InvolutionDesc("unitary")
 
 
 def test_morita_reduction():
@@ -128,8 +125,6 @@ def test_unsupported_shapes_refused():
             reduced_quadratic(h)
     with pytest.raises(UnsupportedShapeError):
         u_search(B, canonical_involution(), -1)
-    with pytest.raises(UnsupportedShapeError, match="unknown involution kind"):
-        InvolutionDesc("orthogonal")
 
 
 def test_rank_zero_forms_are_anisotropic():
