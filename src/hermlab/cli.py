@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -419,24 +420,26 @@ def _verify_rows(p: int, q: int, only=None):
 def verify_paper(p: int = 5, q: int = 9, only=None, as_json: bool = False) -> int:
     rows = _verify_rows(p, q, only)
     ok = all(r["ok"] for r in rows)
-    if as_json:
-        print(json.dumps({"p": p, "q": q, "ok": ok, "rows": rows},
-                         indent=2, sort_keys=True))
-    else:
-        width = max(len(r["instance"]) for r in rows) if rows else 0
-        for r in rows:
-            status = "PASS" if r["ok"] else "FAIL"
-            print(f"[{status}] {r['section']:>10} | {r['instance']:<{width}} | "
-                  f"expected {r['expected']} | computed {r['computed']} | {r['source']}")
-        print(f"{'OK' if ok else 'FAILED'}: {sum(r['ok'] for r in rows)}/{len(rows)} "
-              f"checks passed at p={p}, q={q}")
+    width = max((len(r["instance"]) for r in rows), default=0)
+    lines = [f"[{'PASS' if r['ok'] else 'FAIL'}] {r['section']:>10} | "
+             f"{r['instance']:<{width}} | expected {r['expected']} | "
+             f"computed {r['computed']} | {r['source']}" for r in rows]
+    lines.append(f"{'OK' if ok else 'FAILED'}: {sum(r['ok'] for r in rows)}/{len(rows)} "
+                 f"checks passed at p={p}, q={q}")
+    _emit({"p": p, "q": q, "ok": ok, "rows": rows}, as_json, lines)
     return 0 if ok else _VERIFY_EXIT
 
 
 def main(argv=None) -> int:
     try:
         args = parse(sys.argv[1:] if argv is None else list(argv))
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: exit 1, and let the flush at exit write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, InvalidExtensionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

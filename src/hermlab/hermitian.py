@@ -21,10 +21,9 @@ from functools import cached_property
 
 from .brauer import BrauerClass, DivisionKind, bc_is_division, bc_single_symbol_rep
 from .errors import FieldMismatchError, UnsupportedShapeError
-from .fields import (SquareClass, check_extension_class, minus_one, one, sqcl_group,
-                     sqcl_mul)
+from .fields import SquareClass, check_extension_class, minus_one, one, sqcl_mul
 from .quadform import (QuadForm, _masks_isotropic, max_anisotropic_rank, norm_form,
-                       qf_is_isotropic)
+                       qf_is_isotropic, search_classes)
 
 
 class UKind(str, Enum):
@@ -148,13 +147,14 @@ def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int) -> int:
     The template is read once from a descriptor with no entries.
     """
     k = B.field
+    classes = search_classes(k)
     template = HermFormDesc(B, inv, eps, ()).template
     if template is None:
         raise UnsupportedShapeError("u search covers the two reducible shapes only")
     template = [t.data for t in template]
     m1 = minus_one(k).data
     return max_anisotropic_rank(
-        [c.data for c in sqcl_group(k)],
+        classes,
         lambda masks: not _masks_isotropic([c ^ t for c in masks for t in template], m1))
 
 

@@ -240,6 +240,23 @@ def oracle_disagreements(k: FieldDesc) -> int:
 # ---------------------------------------------------------------------------
 # u-invariant by exhaustive search
 
+# The exhaustive searches range over all 2**(h+1) classes of a height-h
+# tower: height 3 (16 classes) takes seconds at most, height 4 does not end
+# within minutes.  Towers with more classes are refused before any search.
+MAX_SEARCH_CLASSES = 16
+
+
+def search_classes(k: FieldDesc) -> range:
+    """The class masks of k in canonical order, for an exhaustive search."""
+    if not is_finite_based(k):
+        raise UnsupportedFieldError("u search needs a finite-based tower")
+    h = height(k)
+    if 2 << h > MAX_SEARCH_CLASSES:
+        raise ValueError(f"exhaustive search covers towers of at most {MAX_SEARCH_CLASSES} "
+                         f"square classes; a height-{h} tower has {2 << h}")
+    return range(2 << h)
+
+
 def max_anisotropic_rank(classes, is_anisotropic) -> int:
     """Largest d such that some d-tuple of classes is anisotropic.
 
@@ -274,11 +291,8 @@ def u_quadratic(k: FieldDesc) -> int:
     `max_anisotropic_rank` extends only the anisotropic forms of each
     dimension, each decided by the leaf test.
     """
-    if not is_finite_based(k):
-        raise UnsupportedFieldError("u search needs a finite-based tower")
     m1 = minus_one(k).data
-    return max_anisotropic_rank(range(2 << height(k)),
-                                lambda masks: not _masks_isotropic(masks, m1))
+    return max_anisotropic_rank(search_classes(k), lambda masks: not _masks_isotropic(masks, m1))
 
 
 def norm_form(a: SquareClass, b: SquareClass) -> QuadForm:

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hermlab import lab
 from hermlab.cli import build_parser, main, parse, parse_element
 from hermlab.errors import EngineError, ParseError
+from hermlab.fields import parse_field
 from hermlab.lab import basis_ij, basis_j, scalar, standard_algebra
+from hermlab.quadform import u_quadratic
 from hermlab.uinv import expected_table
 
 DATA = Path(__file__).parent / "data"
@@ -85,6 +88,26 @@ def test_deeply_nested_fields_are_a_usage_error(capsys):
     code, out, _ = run(capsys, "uinv", "exact", "--field", nested(64), "--class", "(u,pi)",
                        "--type", "plus")
     assert code == 0 and out.startswith(f"u[plus] = {3 * 2 ** 63}\n")
+
+
+@pytest.mark.parametrize("layers", [4, 64])
+def test_exhaustive_searches_refuse_towers_above_the_class_bound(capsys, layers):
+    field = "CDV(" * layers + "F5" + ")" * layers
+    refusal = (f"exhaustive search covers towers of at most 16 square classes; "
+               f"a height-{layers} tower has {2 << layers}")
+    for shape in (("a", "--class", "(u,pi)"), ("b", "--lambda", "u")):
+        argv = ("usearch", "--shape", *shape, "--field", field)
+        assert run_within(5, capsys, *argv) == (1, "", f"usage error: {refusal}\n")
+    with time_limit(5, "u_quadratic"), pytest.raises(ValueError) as err:
+        u_quadratic(parse_field(field))
+    assert str(err.value) == refusal
+
+
+def test_exhaustive_searches_run_at_height_three(capsys):
+    field = "CDV(CDV(CDV(F5)))"
+    for shape, value in ((("a", "--class", "(u,pi)"), 4), (("b", "--lambda", "u"), 8)):
+        code, payload, _ = run_json(capsys, "usearch", "--shape", *shape, "--field", field)
+        assert code == 0 and payload["u"] == value
 
 
 def test_quad_json_payload(capsys):
@@ -246,17 +269,23 @@ def test_lab_symbol_needs_two_slots(capsys):
     assert code == 1 and "a symbol has two slots" in err
 
 
-def run_within(seconds, capsys, *argv):
+@contextmanager
+def time_limit(seconds, what):
     def timeout(signum, frame):
-        raise TimeoutError(f"{' '.join(argv)} did not return")
+        raise TimeoutError(f"{what} did not return")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(seconds)
     try:
-        return run(capsys, *argv)
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def run_within(seconds, capsys, *argv):
+    with time_limit(seconds, " ".join(argv)):
+        return run(capsys, *argv)
 
 
 def test_lab_symbol_needs_a_unit_first_slot(capsys):
@@ -404,6 +433,19 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == "plus <= 6, minus <= 2\n"
+
+
+def test_closed_output_pipe_exits_without_a_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    field = "CDV(" * 64 + "F5" + ")" * 64
+    proc = subprocess.Popen([sys.executable, "-m", "hermlab", "uinv", "exact", "--field", field,
+                             "--class", "(u,pi)", "--type", "plus"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before the run writes anything
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 # Table-mode and `--json` stdout of one argv per output branch, pinned byte

@@ -15,10 +15,12 @@ from hermlab.brauer import (
     bc_is_division,
     bc_is_trivial,
     bc_key,
+    classify_unitary_case,
     parse_brauer,
     trivial_class,
 )
 from hermlab.errors import (
+    FieldMismatchError,
     GapError,
     HermlabError,
     InvalidExtensionError,
@@ -33,9 +35,10 @@ from hermlab.fields import (
     class_to_str,
     parse_class,
     parse_field,
+    quadratic_extension,
     sqcl_group,
 )
-from hermlab.hermitian import canonical_involution, u_search, unitary_involution
+from hermlab.hermitian import HermFormDesc, canonical_involution, u_search, unitary_involution
 from hermlab.quadform import u_quadratic
 from hermlab.uinv import (
     MAX_BOUND_LEVEL,
@@ -157,6 +160,30 @@ def test_unitary_preconditions():
         u_exact(parse_brauer(K1, "(u,pi)"), "plus", pc(K1, "u"))
     with pytest.raises(NotDivisionError):
         u_exact(parse_brauer(K2, "(u,p)"), "zero", pc(K2, "u"))
+
+
+# Every public entry point that takes an extension class, called with the
+# trivial class over K1 as B.
+EXTENSION_ENTRY_POINTS = {
+    "u_exact": lambda B, lam: u_exact(B, "zero", lam),
+    "witness": lambda B, lam: witness(B, B.field, "zero", lam),
+    "classify_unitary_case": classify_unitary_case,
+    "quadratic_extension": lambda B, lam: quadratic_extension(B.field, lam),
+    "HermFormDesc": lambda B, lam: HermFormDesc(B, unitary_involution(lam), 1, ()),
+}
+
+
+@pytest.mark.parametrize("entry", EXTENSION_ENTRY_POINTS)
+@pytest.mark.parametrize("lam, error, message", [
+    pytest.param(pc(K1, "1"), InvalidExtensionError,
+                 "the trivial class defines no quadratic extension", id="trivial"),
+    pytest.param(pc(K2, "u"), FieldMismatchError,
+                 "extension class over the wrong field", id="wrong-field"),
+])
+def test_extension_class_is_refused_by_one_owner(entry, lam, error, message):
+    with pytest.raises(error) as err:
+        EXTENSION_ENTRY_POINTS[entry](trivial_class(K1), lam)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_more_than_two_symbols_rejected():
