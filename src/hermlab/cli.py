@@ -438,7 +438,9 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # the reader is gone: exit 1, and let the flush at exit write nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (ParseError, InvalidExtensionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -103,13 +103,6 @@ def test_exhaustive_searches_refuse_towers_above_the_class_bound(capsys, layers)
     assert str(err.value) == refusal
 
 
-def test_exhaustive_searches_run_at_height_three(capsys):
-    field = "CDV(CDV(CDV(F5)))"
-    for shape, value in ((("a", "--class", "(u,pi)"), 4), (("b", "--lambda", "u"), 8)):
-        code, payload, _ = run_json(capsys, "usearch", "--shape", *shape, "--field", field)
-        assert code == 0 and payload["u"] == value
-
-
 def test_quad_json_payload(capsys):
     code, payload, _ = run_json(capsys, "isotropy", "quad", "--field", "CDV(F5)",
                                 "--form", "1,u,pi,u*pi", "--oracle")
