@@ -158,15 +158,21 @@ class DivisionKind(str, Enum):
     BIQUATERNION = "biquaternion"
 
 
+def bc_supported_symbols(B: BrauerClass) -> tuple:
+    """B's effective symbols, of which division testing covers at most two."""
+    syms = B.effective_symbols
+    if len(syms) > 2:
+        raise UnsupportedClassError(f"{len(syms)} symbols; only classes with at "
+                                    "most two are supported")
+    return syms
+
+
 def bc_is_division(B: BrauerClass) -> DivisionKind:
     """Index of a class with at most two symbols, by norm and Albert forms."""
     if not is_finite_based(B.field):
         raise UnsupportedFieldError("division testing needs a finite-based tower; "
                                     "supply an assertion instead")
-    syms = B.effective_symbols
-    if len(syms) > 2:
-        raise UnsupportedClassError(f"{len(syms)} symbols; only classes with at "
-                                    "most two are supported")
+    syms = bc_supported_symbols(B)
     if not syms:
         return DivisionKind.SPLIT
     if len(syms) == 1:

@@ -38,6 +38,7 @@ from .brauer import (
     bc_base_change,
     bc_extended_index,
     bc_ramification,
+    bc_supported_symbols,
     classify_unitary_case,
     parse_brauer,
     trivial_class,
@@ -126,20 +127,31 @@ class UResult:
 
 @dataclass(frozen=True)
 class WitnessNode:
+    """One step of the residue walk: the derivation of its value and the
+    witness part built beside it.  `entries` are the concrete diagonal
+    entries, a leaf's own or flattened from the parts below, and None where
+    the part stays symbolic; `ok` says every concrete leaf below verified
+    anisotropic."""
+
+    derivation: Derivation
     op: str                 # quad | unitary | axiom | empty | pair
-    field_label: str
     rank: int
-    entries: tuple = ()     # serialized classes for concrete leaves
-    lam: str = None
-    children: tuple = ()
+    children: tuple = ()    # the two parts of a pair
+    entries: tuple = None
+    lam: SquareClass = None
     note: str = None
+    ok: bool = True
+
+    @property
+    def value(self) -> int:
+        return self.derivation.value
 
     def to_json_dict(self) -> dict:
-        out = {"op": self.op, "field": self.field_label, "rank": self.rank}
-        if self.entries:
-            out["entries"] = list(self.entries)
-        if self.lam:
-            out["lam"] = self.lam
+        out = {"op": self.op, "field": self.derivation.field_label, "rank": self.rank}
+        if self.entries and not self.children:
+            out["entries"] = [class_to_str(c) for c in self.entries]
+        if self.lam is not None:
+            out["lam"] = class_to_str(self.lam)
         if self.note:
             out["note"] = self.note
         if self.children:
@@ -164,8 +176,8 @@ def u_exact(B: BrauerClass, kind, lam: SquareClass = None,
     global-function-field residue, division facts the recursion needs must
     be asserted through the token "residue" and are echoed in the tree.
     """
-    step = _walk(B, UKind(kind), lam, frozenset(assertions))
-    return UResult(step.value, step.derivation)
+    node = _walk(B, UKind(kind), lam, frozenset(assertions))
+    return UResult(node.value, node.derivation)
 
 
 def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
@@ -183,13 +195,13 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
     kind = UKind(kind)
     if B.field != k:
         raise FieldMismatchError("class over the wrong field")
-    step = _walk(B, kind, lam, frozenset(assertions))
-    rank, flat, ok = step.node.rank, step.flat, step.ok
-    if rank != step.value:
-        raise EngineError(f"witness rank {rank} disagrees with value {step.value}")
+    node = _walk(B, kind, lam, frozenset(assertions))
+    flat, ok = node.entries, node.ok
+    if node.rank != node.value:
+        raise EngineError(f"witness rank {node.rank} disagrees with value {node.value}")
     if flat is not None and not _verify_flat(_category(B), kind, lam, flat):
         flat, ok = None, False
-    return Witness(rank, step.node, flat, ok)
+    return Witness(node.rank, node, flat, ok)
 
 
 def _verify_flat(category, kind: UKind, lam, entries) -> bool:
@@ -211,28 +223,12 @@ def _verify_flat(category, kind: UKind, lam, entries) -> bool:
 # ---------------------------------------------------------------------------
 # the residue walk
 
-@dataclass(frozen=True)
-class _Step:
-    """One step of the residue walk: the derivation of its value and the
-    witness part built beside it."""
-
-    derivation: Derivation
-    node: WitnessNode
-    flat: tuple = None      # concrete diagonal entries, when the shape flattens
-    ok: bool = True         # every concrete leaf below verified anisotropic
-
-    @property
-    def value(self) -> int:
-        return self.derivation.value
-
-
 # Bound on the steps kept by each memo of the walk below.  A step is keyed
 # by its exact class, not by the class's key, because derivations and
 # witnesses print the caller's own symbols.
 _STEP_MEMO = 1024
 
-
-def _walk(B: BrauerClass, kind: UKind, lam, assertions) -> _Step:
+def _walk(B: BrauerClass, kind: UKind, lam, assertions) -> WitnessNode:
     """The walk from the top class, after checking the extension class."""
     if kind is UKind.ZERO:
         if lam is None:
@@ -248,22 +244,12 @@ def _walk(B: BrauerClass, kind: UKind, lam, assertions) -> _Step:
 def _category(B: BrauerClass):
     """(index, division class) of B: `morita_reduce` over a finite-based
     tower; over a global-function-field base, where division is asserted
-    rather than decided, B's effective symbols and their count."""
+    rather than decided, the count of B's effective symbols and those
+    symbols."""
     if is_finite_based(B.field):
         return morita_reduce(B)
-    return _gff_category(B), BrauerClass(B.field, B.effective_symbols)
-
-
-def _gff_category(B: BrauerClass) -> DivisionKind:
-    """Index of a class whose division is asserted: the count of its
-    nontrivial symbols, of which there are at most two."""
-    syms = B.effective_symbols
-    if len(syms) > 2:
-        raise UnsupportedClassError(f"{len(syms)} symbols; only classes with at "
-                                    "most two are supported")
-    if not syms:
-        return DivisionKind.SPLIT
-    return DivisionKind.QUATERNION if len(syms) == 1 else DivisionKind.BIQUATERNION
+    syms = bc_supported_symbols(B)
+    return list(DivisionKind)[len(syms)], BrauerClass(B.field, syms)
 
 
 def _assert_leaf(field_label: str, class_label: str, assertions) -> Derivation:
@@ -276,7 +262,7 @@ def _assert_leaf(field_label: str, class_label: str, assertions) -> Derivation:
 
 
 def _gff_leaf(field_label: str, index: DivisionKind, kind: UKind,
-              class_label: str, assertions, note: str = None) -> _Step:
+              class_label: str, assertions, note: str = None) -> WitnessNode:
     """Tabulated value over a global-function-field base; the witness is
     the tabulated rank."""
     if index is DivisionKind.SPLIT and kind is UKind.MINUS:
@@ -293,73 +279,63 @@ def _gff_leaf(field_label: str, index: DivisionKind, kind: UKind,
             children = (_assert_leaf(field_label, class_label, assertions),)
         d = Derivation("base:gff", field_label, class_label, kind.value, value,
                        _CITES["base:gff"], children, "leaf", note)
-    return _Step(d, WitnessNode("axiom", field_label, d.value,
-                                note="tabulated base value"))
-
-
-def _entry_labels(entries) -> tuple:
-    return tuple(class_to_str(c) for c in entries)
+    return WitnessNode(d, "axiom", d.value, note="tabulated base value")
 
 
 def _finite_leaf(fl: str, cl: str, category, kind: UKind, entries,
-                 lam: SquareClass = None, note: str = None) -> _Step:
+                 lam: SquareClass = None, note: str = None) -> WitnessNode:
     """Base value over a finite field; the witness is entries, a `quad`
     node for the first kind or a `unitary` node over k(sqrt(lam)), checked
     anisotropic by `_verify_flat`."""
-    node = WitnessNode("quad" if lam is None else "unitary", fl, len(entries),
-                       _entry_labels(entries), None if lam is None else class_to_str(lam))
-    return _Step(leaf("base:finite", fl, cl, kind.value, _FINITE_BASE[kind],
-                      _CITES["base:finite"], note),
-                 node, entries, _verify_flat(category, kind, lam, entries))
+    return WitnessNode(leaf("base:finite", fl, cl, kind.value, _FINITE_BASE[kind],
+                            _CITES["base:finite"], note),
+                       "quad" if lam is None else "unitary", len(entries),
+                       entries=entries, lam=lam,
+                       ok=_verify_flat(category, kind, lam, entries))
 
 
 def _double(rule: str, k: CDVField, class_label: str, kind: UKind,
-            child: _Step, pre: tuple = (), note: str = None) -> _Step:
+            child: WitnessNode, pre: tuple = (), note: str = None) -> WitnessNode:
     """Doubling step; the witness is the lifted child next to its
     uniformizer twist."""
-    fl = field_to_str(k)
-    value = 2 * child.value
+    rank = 2 * child.rank
     flat = None
-    if child.flat is not None:
+    if child.entries is not None:
         pi = uniformizer(k)
-        flat = tuple(lift(k, c) for c in child.flat) + \
-            tuple(lift(k, c) * pi for c in child.flat)
-    return _Step(
-        Derivation(rule, fl, class_label, kind.value, value, _CITES[rule],
+        flat = tuple(lift(k, c) for c in child.entries) + \
+            tuple(lift(k, c) * pi for c in child.entries)
+    fl = field_to_str(k)
+    return WitnessNode(
+        Derivation(rule, fl, class_label, kind.value, 2 * child.value, _CITES[rule],
                    pre + (child.derivation,), "double", note),
-        WitnessNode("pair", fl, 2 * child.node.rank,
-                    children=(child.node, child.node), note="uniformizer twist"),
-        flat, child.ok)
+        "pair", rank, (child, child), flat, note="uniformizer twist", ok=child.ok)
 
 
 def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
-         first: _Step, second: _Step, node_note: str, pre: tuple = (),
-         note: str = None) -> _Step:
+         first: WitnessNode, second: WitnessNode, node_note: str, pre: tuple = (),
+         note: str = None) -> WitnessNode:
     """Sum of two parts from the residue layer; when the second is empty,
     the first part's entries lift to a flat witness.  Only a
     parameter-twisted second part can be empty: unitary values are >= 1."""
-    fl = field_to_str(k)
-    value = first.value + second.value
     flat = None
-    if second.node.rank == 0 and first.flat is not None:
-        flat = tuple(lift(k, c) for c in first.flat)
-    return _Step(
-        Derivation(rule, fl, class_label, kind.value, value, _CITES[rule],
-                   pre + (first.derivation, second.derivation), "sum", note),
-        WitnessNode("pair", fl, first.node.rank + second.node.rank,
-                    children=(first.node, second.node), note=node_note),
-        flat, first.ok and second.ok)
+    if second.rank == 0 and first.entries is not None:
+        flat = tuple(lift(k, c) for c in first.entries)
+    fl = field_to_str(k)
+    return WitnessNode(
+        Derivation(rule, fl, class_label, kind.value, first.value + second.value,
+                   _CITES[rule], pre + (first.derivation, second.derivation), "sum", note),
+        "pair", first.rank + second.rank, (first, second), flat, note=node_note,
+        ok=first.ok and second.ok)
 
 
 @lru_cache(maxsize=_STEP_MEMO)
-def _first_kind(B: BrauerClass, kind: UKind, assertions) -> _Step:
+def _first_kind(B: BrauerClass, kind: UKind, assertions) -> WitnessNode:
     k = B.field
     index, Bn = _category(B)
     fl, cl = field_to_str(k), str(Bn)
     if index is DivisionKind.SPLIT and kind is UKind.MINUS:
-        return _Step(leaf("base:field-minus", fl, cl, kind.value, 0,
-                          _CITES["base:field-minus"]),
-                     WitnessNode("empty", fl, 0), ())
+        return WitnessNode(leaf("base:field-minus", fl, cl, kind.value, 0,
+                                _CITES["base:field-minus"]), "empty", 0, entries=())
     if isinstance(k, FiniteField):
         # the norm form of the quadratic extension: <1, -nonsquare>
         return _finite_leaf(fl, cl, (index, Bn), kind,
@@ -379,12 +355,12 @@ def _first_kind(B: BrauerClass, kind: UKind, assertions) -> _Step:
 
 
 def _over_extension(res: FieldDesc, R0: BrauerClass, c: SquareClass,
-                    kind: UKind, assertions, lam: SquareClass = None) -> _Step:
+                    kind: UKind, assertions, lam: SquareClass = None) -> WitnessNode:
     """Value of the residue class R0 over res(sqrt(c)): of the first kind,
     or, for the unitary kind, with the extension class lam carried over."""
     if isinstance(res, GlobalFunctionField):
         return _gff_leaf(f"GFF({res.q})[sqrt({class_to_str(c)})]",
-                         _gff_category(R0), kind, str(R0), assertions)
+                         _category(R0)[0], kind, str(R0), assertions)
     ext_map = quadratic_extension(res, c)
     R = bc_base_change(R0, ext_map)
     if kind is UKind.ZERO:
@@ -394,7 +370,7 @@ def _over_extension(res: FieldDesc, R0: BrauerClass, c: SquareClass,
 
 @lru_cache(maxsize=_STEP_MEMO)
 def _unitary(B: BrauerClass, lam: SquareClass, assertions,
-             morita: bool = False) -> _Step:
+             morita: bool = False) -> WitnessNode:
     """Unitary value of the algebra presented by (class, extension class).
 
     With morita set (internal residue-algebra presentations), a class that
