@@ -184,11 +184,20 @@ def bc_is_division(B: BrauerClass) -> DivisionKind:
     return DivisionKind.SPLIT if bc_is_trivial(B) else DivisionKind.QUATERNION
 
 
+# Most square classes of a tower whose single-symbol table is built.  The
+# table enumerates every pair of classes, (2**(h+1))**2 of them: 262,144 at
+# height 8 (512 classes), four times as many per further layer.
+MAX_TABLE_CLASSES = 512
+
+
 @lru_cache(maxsize=16)
 def _single_symbol_table(h: int, m1: int) -> dict:
     """Key -> the first mask pair with that key, a outer and b inner, over
     every tower of height h whose -1 has mask m1."""
     n = 2 << h
+    if n > MAX_TABLE_CLASSES:
+        raise ValueError(f"single-symbol representatives cover towers of at most "
+                         f"{MAX_TABLE_CLASSES} square classes; a height-{h} tower has {n}")
     table = {}
     for a in range(n):
         for b in range(n):

@@ -51,7 +51,7 @@ from .lab import (
     standard_algebra,
 )
 from .quadform import QuadForm, qf_is_isotropic_oracle, qf_isotropy_path
-from .uinv import bounds_ai, bounds_tensor, expected_table, u_exact, witness
+from .uinv import MAX_WITNESS_RANK, bounds_ai, bounds_tensor, expected_table, u_exact, witness
 
 _USAGE_EXIT = 1
 _VERIFY_EXIT = 2
@@ -313,6 +313,9 @@ def _run_uinv_exact(args) -> int:
                "value": value, "derivation": derivation.to_json_dict()}
     lines = [f"u[{args.type}] = {value}", derivation.render()]
     if args.witness:
+        if value > MAX_WITNESS_RANK:
+            raise ValueError(f"a witness of rank {value} is above the supported bound "
+                             f"{MAX_WITNESS_RANK}")
         w = witness(B, k, args.type, lam, assertions)
         payload["witness"] = {
             "rank": w.rank,

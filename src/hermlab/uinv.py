@@ -228,6 +228,13 @@ def _verify_flat(category, kind: UKind, lam, entries) -> bool:
 # witnesses print the caller's own symbols.
 _STEP_MEMO = 1024
 
+# Largest witness rank that is kept flat or printed.  A doubling step lists
+# its child twice, so flat entries and printed trees grow like the value,
+# which doubles with every layer: 2**63 at 64 layers.  512 is the rank of
+# the plus witness of the trivial class at height 8.
+MAX_WITNESS_RANK = 512
+
+
 def _walk(B: BrauerClass, kind: UKind, lam, assertions) -> WitnessNode:
     """The walk from the top class, after checking the extension class."""
     if kind is UKind.ZERO:
@@ -297,10 +304,10 @@ def _finite_leaf(fl: str, cl: str, category, kind: UKind, entries,
 def _double(rule: str, k: CDVField, class_label: str, kind: UKind,
             child: WitnessNode, pre: tuple = (), note: str = None) -> WitnessNode:
     """Doubling step; the witness is the lifted child next to its
-    uniformizer twist."""
+    uniformizer twist, kept flat up to MAX_WITNESS_RANK."""
     rank = 2 * child.rank
     flat = None
-    if child.entries is not None:
+    if child.entries is not None and rank <= MAX_WITNESS_RANK:
         pi = uniformizer(k)
         flat = tuple(lift(k, c) for c in child.entries) + \
             tuple(lift(k, c) * pi for c in child.entries)

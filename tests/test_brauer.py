@@ -120,6 +120,10 @@ def test_single_symbol_rep_is_minimal_and_equivalent():
     assert bc_is_trivial(BrauerClass(K1, B.symbols + (rep,)))
     assert bc_single_symbol_rep(parse_brauer(K1, "(u,pi)")) == \
         tuple(parse_brauer(K1, "(u,pi)").symbols[0])
+    biquaternion = parse_brauer(CDVField(K2), "(u,pi);(t,s)")
+    assert bc_is_division(biquaternion) == DivisionKind.BIQUATERNION
+    with pytest.raises(UnsupportedClassError, match="index at most two only"):
+        bc_single_symbol_rep(biquaternion)
 
 
 def _is_trivial_by_residues(B):

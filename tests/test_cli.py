@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hermlab import lab
+from hermlab.brauer import parse_brauer
 from hermlab.cli import build_parser, main, parse, parse_element
 from hermlab.errors import EngineError, ParseError
 from hermlab.fields import parse_field
 from hermlab.lab import basis_ij, basis_j, scalar, standard_algebra
 from hermlab.quadform import u_quadratic
-from hermlab.uinv import expected_table
+from hermlab.uinv import expected_table, witness
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -279,6 +281,59 @@ def time_limit(seconds, what):
 def run_within(seconds, capsys, *argv):
     with time_limit(seconds, " ".join(argv)):
         return run(capsys, *argv)
+
+
+def _tower(layers):
+    return "CDV(" * layers + "F5" + ")" * layers
+
+
+def test_tall_minus_value_builds_no_flat_witness(capsys):
+    # the doubling steps would list 2**63 lifted classes
+    code, out, _ = run_within(5, capsys, "uinv", "exact", "--field", _tower(64),
+                              "--class", "(u,pi)", "--type", "minus")
+    assert code == 0 and out.startswith(f"u[minus] = {2 ** 63}\n")
+    k = parse_field(_tower(64))
+    for kind, value in (("plus", 3 * 2 ** 63), ("minus", 2 ** 63)):
+        with time_limit(1, f"witness {kind}"):
+            w = witness(parse_brauer(k, "(u,pi)"), k, kind)
+        assert (w.rank, w.node.rank, w.entries) == (value, value, None)
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_witness_above_the_rank_bound_is_a_usage_error(capsys, mode):
+    def argv(layers, cls):
+        return ("uinv", "exact", "--field", _tower(layers), "--class", cls,
+                "--type", "plus", "--witness", *mode)
+
+    for layers, cls, rank in ((64, "(u,pi)", 3 * 2 ** 63), (9, "1", 1024)):
+        refusal = f"usage error: a witness of rank {rank} is above the supported bound 512\n"
+        assert run_within(5, capsys, *argv(layers, cls)) == (1, "", refusal)
+    # the plus witness of the trivial class at height 8 has rank 512
+    code, out, _ = run_within(5, capsys, *argv(8, "1"))
+    assert code == 0 and ("witness rank 512: <" in out or '"rank": 512' in out)
+
+
+@pytest.mark.parametrize("layers", [10, 64])
+def test_single_symbol_table_refuses_towers_above_the_class_bound(capsys, layers):
+    refusal = ("usage error: single-symbol representatives cover towers of at most 512 "
+               f"square classes; a height-{layers} tower has {2 << layers}\n")
+    assert run_within(5, capsys, "uinv", "exact", "--field", _tower(layers),
+                      "--class", "(u,pi);(u,t)", "--type", "plus") == (1, "", refusal)
+
+
+def _readme_cli_examples():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("hermlab ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) == 11
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_lab_symbol_needs_a_unit_first_slot(capsys):
