@@ -187,8 +187,8 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
     Every step of the residue walk builds its witness part beside its
     derivation, and concrete leaves are checked anisotropic where they
     are built.  The witness rank is then checked against the value.
-    Reducible shapes flatten to concrete diagonal entries and are
-    re-verified anisotropic through the quadratic reductions; entries that
+    Reducible shapes of rank at most MAX_WITNESS_RANK flatten to concrete
+    diagonal entries, re-verified through the quadratic reductions; entries that
     fail that check are dropped and the witness is marked unverified.  The
     rest stay symbolic trees whose concrete leaves are still verified.
     """
@@ -305,13 +305,13 @@ def _double(rule: str, k: CDVField, class_label: str, kind: UKind,
             child: WitnessNode, pre: tuple = (), note: str = None) -> WitnessNode:
     """Doubling step; the witness is the lifted child next to its
     uniformizer twist, kept flat up to MAX_WITNESS_RANK."""
+    fl = field_to_str(k)
     rank = 2 * child.rank
     flat = None
     if child.entries is not None and rank <= MAX_WITNESS_RANK:
         pi = uniformizer(k)
         flat = tuple(lift(k, c) for c in child.entries) + \
             tuple(lift(k, c) * pi for c in child.entries)
-    fl = field_to_str(k)
     return WitnessNode(
         Derivation(rule, fl, class_label, kind.value, 2 * child.value, _CITES[rule],
                    pre + (child.derivation,), "double", note),
@@ -324,10 +324,10 @@ def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
     """Sum of two parts from the residue layer; when the second is empty,
     the first part's entries lift to a flat witness.  Only a
     parameter-twisted second part can be empty: unitary values are >= 1."""
+    fl = field_to_str(k)
     flat = None
     if second.rank == 0 and first.entries is not None:
         flat = tuple(lift(k, c) for c in first.entries)
-    fl = field_to_str(k)
     return WitnessNode(
         Derivation(rule, fl, class_label, kind.value, first.value + second.value,
                    _CITES[rule], pre + (first.derivation, second.derivation), "sum", note),

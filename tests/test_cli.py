@@ -321,15 +321,11 @@ def test_single_symbol_table_refuses_towers_above_the_class_bound(capsys, layers
                       "--class", "(u,pi);(u,t)", "--type", "plus") == (1, "", refusal)
 
 
-def _readme_cli_examples():
+def test_readme_cli_examples_run(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
-    return [shlex.split(line)[1:] for line in lines if line.startswith("hermlab ")]
-
-
-def test_readme_cli_examples_run(capsys):
-    examples = _readme_cli_examples()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("hermlab ")]
     assert len(examples) == 11
     for argv in examples:
         code, _, err = run(capsys, *argv)
