@@ -29,12 +29,11 @@ from .errors import (
 from .fields import (
     CDVField,
     FieldDesc,
+    Frozen,
     SquareClass,
     TransitionMap,
-    base_field,
     check_extension_class,
     class_to_str,
-    height,
     is_finite_based,
     minus_one,
     one,
@@ -45,18 +44,31 @@ from .fields import (
 from .quadform import albert_form, norm_form, qf_is_isotropic
 
 
-@dataclass(frozen=True)
-class BrauerClass:
-    field: FieldDesc
-    symbols: tuple  # pairs (a, b) of square classes; empty = trivial class
+class BrauerClass(Frozen):
+    """The sum of symbols, pairs (a, b) of square classes over field (none:
+    the trivial class).  The walk memo keys on it, so it hashes once."""
 
-    def __post_init__(self):
+    __slots__ = ("field", "symbols", "_hash")
+
+    def __init__(self, field: FieldDesc, symbols):
         # stored as tuples, so that a class built from lists still hashes
-        symbols = tuple((a, b) for a, b in self.symbols)
+        symbols = tuple((a, b) for a, b in symbols)
         for a, b in symbols:
-            if a.field != self.field or b.field != self.field:
+            if a.field is not field or b.field is not field:
                 raise FieldMismatchError("symbol slot over the wrong field")
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "_hash", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not BrauerClass:
+            return NotImplemented
+        return self.field is other.field and self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.field, self.symbols)))
+        return self._hash
 
     @property
     def effective_symbols(self) -> tuple:
@@ -135,7 +147,7 @@ def bc_key(B: BrauerClass) -> int:
     k = B.field
     if not is_finite_based(k):
         raise UnsupportedFieldError("Brauer keys need a finite-based tower")
-    h, m1 = height(k), base_field(k).minus_one_bit
+    h, m1 = k.height, k.base.minus_one_bit
     key = 0
     for a, b in B.symbols:
         key ^= _symbol_key(a.data, b.data, h, m1)
@@ -213,7 +225,7 @@ def bc_single_symbol_rep(B: BrauerClass):
     if not isinstance(k, CDVField):
         raise UnsupportedFieldError("single-symbol representatives need a valued layer")
     key = bc_key(B)
-    pair = _single_symbol_table(height(k), base_field(k).minus_one_bit).get(key)
+    pair = _single_symbol_table(k.height, k.base.minus_one_bit).get(key)
     if pair is None:
         raise UnsupportedClassError("single-symbol representatives exist for "
                                     "classes of index at most two only")
@@ -221,7 +233,7 @@ def bc_single_symbol_rep(B: BrauerClass):
 
 
 def bc_base_change(B: BrauerClass, m: TransitionMap) -> BrauerClass:
-    if m.source != B.field:
+    if m.source is not B.field:
         raise FieldMismatchError("class does not live over the map's source")
     return BrauerClass(m.target,
                        tuple((transport(m, a), transport(m, b))

@@ -19,9 +19,9 @@ descriptor; only the transport map knows that the uniformizer changed.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import (
     EngineError,
@@ -36,9 +36,9 @@ from .errors import (
 # this bound (a fraction of a second of division) are refused, not tested.
 MAX_FIELD_SIZE = 10 ** 12
 
-# Descriptors compare, hash and print by recursion over their layers, and
-# parse_field recurses once per CDV layer; descriptors that nest more CDV
-# layers than this are refused before any recursion.
+# parse_field recurses once per CDV layer of its text, so texts that nest
+# more layers than this are refused before any recursion.  A descriptor
+# reads its height, base, text and hash from the layer below once.
 MAX_FIELD_HEIGHT = 64
 
 
@@ -69,80 +69,121 @@ def _odd_prime_power(q: int) -> bool:
     return p != 2 and q == 1
 
 
-@dataclass(frozen=True)
-class FiniteField:
+_set = object.__setattr__
+_INTERNED = weakref.WeakValueDictionary()  # (class, *arguments) -> live descriptor
+
+
+class Frozen:
+    """Base of the hand-written immutable values: assignment raises, and
+    repr and pickling go through the constructor's arguments, which are the
+    class's own public slots in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__ if n[0] != "_")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__name__}({args})"
+
+
+class FieldDesc(Frozen):
+    """A tower descriptor: a FiniteField or GlobalFunctionField base under
+    zero or more CDVField layers.  Each distinct tower is one live object,
+    so equality is identity and copies are that object.  Height, base, text
+    and hash are computed once, when it is built; the hash is that of the
+    constructor's arguments, ints at the base, whatever the hash seed."""
+
+    __slots__ = ("_hash", "height", "base", "text", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _intern(cls, args: tuple, height: int, base, text: str) -> FieldDesc:
+    """A new descriptor of cls, its own slots set from args; base None is itself."""
+    k = object.__new__(cls)
+    for name, value in (*zip(cls.__slots__, args), ("_hash", hash(args)), ("height", height),
+                        ("base", k if base is None else base), ("text", text)):
+        _set(k, name, value)
+    _INTERNED[(cls, *args)] = k
+    return k
+
+
+class FiniteField(FieldDesc):
     """The field with p**e elements, p an odd prime."""
 
-    p: int
-    e: int = 1
+    __slots__ = ("p", "e")
 
-    def __post_init__(self):
-        if self.p == 2 or not _is_prime(self.p):
-            raise ValueError(f"finite base needs an odd prime, got {self.p}")
-        if self.e < 1:
-            raise ValueError(f"extension degree must be >= 1, got {self.e}")
+    def __new__(cls, p: int, e: int = 1):
+        k = _INTERNED.get((cls, p, e))
+        if k is None:
+            if p == 2 or not _is_prime(p):
+                raise ValueError(f"finite base needs an odd prime, got {p}")
+            if e < 1:
+                raise ValueError(f"extension degree must be >= 1, got {e}")
+            k = _intern(cls, (p, e), 0, None, f"F{p}" if e == 1 else f"F{p}^{e}")
+        return k
 
     @property
     def minus_one_bit(self) -> int:
         """The mask of -1's class: 1 (the nonsquare u) iff the order is 3 mod 4."""
         return self.p ** self.e % 4 >> 1
 
-    def __str__(self) -> str:
-        return field_to_str(self)
 
-
-@dataclass(frozen=True)
-class GlobalFunctionField:
+class GlobalFunctionField(FieldDesc):
     """Axiomatized global function field with odd constant field size q.
 
     It has no computable square-class group and no extension operator;
     it enters the calculus only through tabulated base values.
     """
 
-    q: int
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        if not _odd_prime_power(self.q):
-            raise ValueError(f"constant field size must be an odd prime power, got {self.q}")
+    def __new__(cls, q: int):
+        k = _INTERNED.get((cls, q))
+        if k is None:
+            if not _odd_prime_power(q):
+                raise ValueError(f"constant field size must be an odd prime power, got {q}")
+            k = _intern(cls, (q,), 0, None, f"GFF({q})")
+        return k
 
-    def __str__(self) -> str:
-        return field_to_str(self)
 
-
-@dataclass(frozen=True)
-class CDVField:
+class CDVField(FieldDesc):
     """Complete discretely valued layer over a residue tower."""
 
-    residue: "FieldDesc"
+    __slots__ = ("residue",)
 
-    def __post_init__(self):
-        if not isinstance(self.residue, (FiniteField, GlobalFunctionField, CDVField)):
+    def __new__(cls, residue: FieldDesc):
+        if not isinstance(residue, FieldDesc):
             raise ValueError("residue must be a field descriptor")
-
-    def __str__(self) -> str:
-        return field_to_str(self)
-
-
-FieldDesc = Union[FiniteField, GlobalFunctionField, CDVField]
+        k = _INTERNED.get((cls, residue))
+        if k is None:
+            k = _intern(cls, (residue,), residue.height + 1, residue.base,
+                        f"CDV({residue.text})")
+        return k
 
 
 def height(k: FieldDesc) -> int:
     """Number of valued layers above the base."""
-    h = 0
-    while isinstance(k, CDVField):
-        h += 1
-        k = k.residue
-    return h
+    return k.height
 
 
 def base_field(k: FieldDesc) -> FieldDesc:
-    while isinstance(k, CDVField):
-        k = k.residue
-    return k
+    return k.base
 
 
 def is_finite_based(k: FieldDesc) -> bool:
-    return isinstance(base_field(k), FiniteField)
+    return isinstance(k.base, FiniteField)
 
 
 # Uniformizer display names by layer depth, counted from the bottom:
@@ -157,11 +198,7 @@ def uniformizer_name(depth: int) -> str:
 
 
 def field_to_str(k: FieldDesc) -> str:
-    if isinstance(k, FiniteField):
-        return f"F{k.p}" if k.e == 1 else f"F{k.p}^{k.e}"
-    if isinstance(k, GlobalFunctionField):
-        return f"GFF({k.q})"
-    return f"CDV({field_to_str(k.residue)})"
+    return k.text
 
 
 _FINITE_RE = re.compile(r"^F(\d+)(?:\^(\d+))?$")
@@ -197,8 +234,7 @@ def parse_field(text: str) -> FieldDesc:
     raise ParseError(f"unrecognized field descriptor: {text!r}")
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Frozen):
     """Element of k*/k*^2 over a tower field, as a bit mask.
 
     Bit 0 of ``data`` is the fixed nonsquare unit ``u`` of a finite base,
@@ -208,9 +244,21 @@ class SquareClass:
     empty.  The product is XOR on both parts.
     """
 
-    field: FieldDesc
-    data: int
-    names: frozenset = frozenset()
+    __slots__ = ("field", "data", "names")
+
+    def __init__(self, field: FieldDesc, data: int, names: frozenset = frozenset()):
+        _set(self, "field", field)
+        _set(self, "data", data)
+        _set(self, "names", names)
+
+    def __eq__(self, other):
+        if other.__class__ is not SquareClass:
+            return NotImplemented
+        return (self.field is other.field and self.data == other.data
+                and self.names == other.names)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.data, self.names))
 
     @property
     def is_one(self) -> bool:
@@ -221,7 +269,7 @@ class SquareClass:
         k = self.field
         if not isinstance(k, CDVField):
             raise UnsupportedFieldError("decompose needs a valued layer")
-        h = height(k)
+        h = k.height
         return SquareClass(k.residue, self.data & ~(1 << h), self.names), self.data >> h
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
@@ -245,20 +293,20 @@ def nonsquare_unit(k: FieldDesc) -> SquareClass:
 def uniformizer(k: FieldDesc) -> SquareClass:
     if not isinstance(k, CDVField):
         raise UnsupportedFieldError("uniformizer class needs a valued layer")
-    return SquareClass(k, 1 << height(k))
+    return SquareClass(k, 1 << k.height)
 
 
 def lift(k: CDVField, residue_class: SquareClass) -> SquareClass:
     """Unit lift of a residue class into the valued layer."""
-    if residue_class.field != k.residue:
+    if residue_class.field is not k.residue:
         raise FieldMismatchError("unit part must live over the residue field")
     return SquareClass(k, residue_class.data, residue_class.names)
 
 
 def sqcl_mul(k: FieldDesc, a: SquareClass, b: SquareClass) -> SquareClass:
-    if (a.field is not k and a.field != k) or (b.field is not k and b.field != k):
-        raise FieldMismatchError(f"class product over {field_to_str(k)} got classes over "
-                                 f"{field_to_str(a.field)} and {field_to_str(b.field)}")
+    if a.field is not k or b.field is not k:
+        raise FieldMismatchError(f"class product over {k} got classes over "
+                                 f"{a.field} and {b.field}")
     return SquareClass(k, a.data ^ b.data, a.names ^ b.names)
 
 
@@ -268,12 +316,12 @@ def sqcl_group(k: FieldDesc) -> list:
     if not is_finite_based(k):
         raise UnsupportedFieldError("square classes over a global function field "
                                     "are symbolic and cannot be enumerated")
-    return [SquareClass(k, m) for m in range(2 << height(k))]
+    return [SquareClass(k, m) for m in range(2 << k.height)]
 
 
 def minus_one(k: FieldDesc) -> SquareClass:
     """The square class of -1, a unit of the base."""
-    base = base_field(k)
+    base = k.base
     if isinstance(base, GlobalFunctionField):
         return SquareClass(k, 0, frozenset() if base.q % 4 == 1 else frozenset({"-1"}))
     return SquareClass(k, base.minus_one_bit)
@@ -314,7 +362,7 @@ def class_of_rational(k: FieldDesc, x) -> SquareClass:
         x = Fraction(x)
     if x == 0:
         raise ValueError("zero has no square class")
-    base = base_field(k)
+    base = k.base
     if isinstance(base, GlobalFunctionField):
         raise UnsupportedFieldError("rational classes need a finite-based tower")
     if base.e != 1:
@@ -360,7 +408,7 @@ def _parse_generator(k: FieldDesc, token: str) -> SquareClass:
     token = _NAME_ALIASES.get(token, token)
     if token == "-1":
         return minus_one(k)
-    for depth in range(1, height(k) + 1):
+    for depth in range(1, k.height + 1):
         if token == uniformizer_name(depth):
             return SquareClass(k, 1 << depth)
     finite = is_finite_based(k)
@@ -370,7 +418,7 @@ def _parse_generator(k: FieldDesc, token: str) -> SquareClass:
         return class_of_rational(k, int(token))
     if not finite and re.fullmatch(r"[A-Za-z]\w*", token):
         return SquareClass(k, 0, frozenset({token}))
-    raise ParseError(f"unknown square-class generator {token!r} over {field_to_str(k)}")
+    raise ParseError(f"unknown square-class generator {token!r} over {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +443,7 @@ class TransitionMap:
 
 
 def transport(m: TransitionMap, a: SquareClass) -> SquareClass:
-    if a.field != m.source:
+    if a.field is not m.source:
         raise FieldMismatchError("class does not live over the map's source field")
     lam = m.lam
     if a.data >> (lam.data.bit_length() - 1) & 1:
@@ -406,7 +454,7 @@ def transport(m: TransitionMap, a: SquareClass) -> SquareClass:
 def check_extension_class(k: FieldDesc, lam: SquareClass) -> None:
     """Refuse lam unless it names a quadratic extension of k: a class over
     k other than 1."""
-    if lam.field != k:
+    if lam.field is not k:
         raise FieldMismatchError("extension class over the wrong field")
     if lam.is_one:
         raise InvalidExtensionError("the trivial class defines no quadratic extension")
@@ -428,8 +476,8 @@ def quadratic_extension(k: FieldDesc, lam: SquareClass) -> TransitionMap:
         raise UnsupportedFieldError("no symbolic extension operator over a global function field")
     target = k
     if lam.data == 1:
-        base = base_field(k)
+        base = k.base
         target = FiniteField(base.p, 2 * base.e)
-        for _ in range(height(k)):
+        for _ in range(k.height):
             target = CDVField(target)
     return TransitionMap(k, target, lam)

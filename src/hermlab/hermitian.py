@@ -74,7 +74,7 @@ class HermFormDesc:
     def __post_init__(self):
         k = self.algebra.field
         for c in self.entries:
-            if c.field != k:
+            if c.field is not k:
                 raise FieldMismatchError("form entry over the wrong field")
         if self.involution.lam is not None:
             check_extension_class(k, self.involution.lam)

@@ -22,10 +22,8 @@ from .fields import (
     FieldDesc,
     FiniteField,
     SquareClass,
-    base_field,
     class_to_str,
     field_to_str,
-    height,
     is_finite_based,
     minus_one,
     one,
@@ -46,7 +44,7 @@ class QuadForm:
     def __post_init__(self):
         k = self.field
         for a in self.entries:
-            if a.field is not k and a.field != k:
+            if a.field is not k:
                 raise FieldMismatchError("form entry over the wrong field")
 
     def __str__(self) -> str:
@@ -59,7 +57,7 @@ def _form_str(k: FieldDesc, masks: tuple) -> str:
 
 def _minus_one_bit(k: FieldDesc) -> int:
     """The mask of -1's class over a finite-based tower k."""
-    base = base_field(k)
+    base = k.base
     if not isinstance(base, FiniteField):
         raise UnsupportedFieldError("isotropy is undecidable over a "
                                     "global-function-field base")
@@ -109,7 +107,7 @@ def _isotropic_rec(k: FieldDesc, masks: tuple, path: list) -> bool:
         return False
     if isinstance(k, FiniteField):
         return _finite_base_case(k, masks, path)
-    bit = 1 << height(k)
+    bit = 1 << k.height
     units = tuple(m for m in masks if not m & bit)
     odd = tuple(m ^ bit for m in masks if m & bit)
     res = k.residue
@@ -250,7 +248,7 @@ def search_classes(k: FieldDesc) -> range:
     """The class masks of k in canonical order, for an exhaustive search."""
     if not is_finite_based(k):
         raise UnsupportedFieldError("u search needs a finite-based tower")
-    h = height(k)
+    h = k.height
     if 2 << h > MAX_SEARCH_CLASSES:
         raise ValueError(f"exhaustive search covers towers of at most {MAX_SEARCH_CLASSES} "
                          f"square classes; a height-{h} tower has {2 << h}")

@@ -60,7 +60,6 @@ from .fields import (
     SquareClass,
     check_extension_class,
     class_to_str,
-    field_to_str,
     is_finite_based,
     lift,
     minus_one,
@@ -193,7 +192,7 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
     rest stay symbolic trees whose concrete leaves are still verified.
     """
     kind = UKind(kind)
-    if B.field != k:
+    if B.field is not k:
         raise FieldMismatchError("class over the wrong field")
     node = _walk(B, kind, lam, frozenset(assertions))
     flat, ok = node.entries, node.ok
@@ -305,7 +304,7 @@ def _double(rule: str, k: CDVField, class_label: str, kind: UKind,
             child: WitnessNode, pre: tuple = (), note: str = None) -> WitnessNode:
     """Doubling step; the witness is the lifted child next to its
     uniformizer twist, kept flat up to MAX_WITNESS_RANK."""
-    fl = field_to_str(k)
+    fl = k.text
     rank = 2 * child.rank
     flat = None
     if child.entries is not None and rank <= MAX_WITNESS_RANK:
@@ -324,7 +323,7 @@ def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
     """Sum of two parts from the residue layer; when the second is empty,
     the first part's entries lift to a flat witness.  Only a
     parameter-twisted second part can be empty: unitary values are >= 1."""
-    fl = field_to_str(k)
+    fl = k.text
     flat = None
     if second.rank == 0 and first.entries is not None:
         flat = tuple(lift(k, c) for c in first.entries)
@@ -339,7 +338,7 @@ def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
 def _first_kind(B: BrauerClass, kind: UKind, assertions) -> WitnessNode:
     k = B.field
     index, Bn = _category(B)
-    fl, cl = field_to_str(k), str(Bn)
+    fl, cl = k.text, str(Bn)
     if index is DivisionKind.SPLIT and kind is UKind.MINUS:
         return WitnessNode(leaf("base:field-minus", fl, cl, kind.value, 0,
                                 _CITES["base:field-minus"]), "empty", 0, entries=())
@@ -392,7 +391,7 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     if is_finite_based(k) and bc_extended_index(Bn, lam, index, morita) is not index:
         Bn = trivial_class(k)
         reduced_note = "; splits over the extension; reduced to the center"
-    fl, cl = field_to_str(k), str(Bn)
+    fl, cl = k.text, str(Bn)
     ext_note = f"extension by {class_to_str(lam)}"
     if isinstance(k, FiniteField):
         return _finite_leaf(fl, cl, (index, Bn), UKind.ZERO, (one(k),), lam, ext_note)

@@ -1,11 +1,20 @@
 """Square-class calculus over field towers."""
 
+import copy
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hermlab.brauer import BrauerClass, parse_brauer
 from hermlab.errors import (
     FieldMismatchError,
     InvalidExtensionError,
@@ -18,6 +27,8 @@ from hermlab.fields import (
     CDVField,
     FiniteField,
     GlobalFunctionField,
+    SquareClass,
+    base_field,
     class_of_rational,
     class_to_str,
     field_to_str,
@@ -421,3 +432,133 @@ def test_smallest_nonresidue_matches_brute_force():
             continue
         squares = {x * x % p for x in range(1, p)}
         assert smallest_nonresidue(p) == min(n for n in range(2, p) if n not in squares)
+
+
+# ---------------------------------------------------------------------------
+# descriptors and classes as values: interned towers, immutable classes
+
+def test_equal_towers_are_one_object():
+    k2 = parse_field("CDV(CDV(F5))")
+    for other in (parse_field("Qp((t))[p=5]"), parse_field(" CDV( CDV(F5^1) ) "),
+                  CDVField(CDVField(FiniteField(5))), CDVField(CDVField(FiniteField(5, 1))),
+                  CDVField(CDVField(FiniteField(p=5, e=1))), K2):
+        assert other is k2
+    assert k2.residue is K1 is parse_field("Qp[p=5]") is CDVField(F5)
+    assert k2.residue.residue is F5 is parse_field("F5")
+    assert GlobalFunctionField(9) is parse_field("GFF(9)")
+    k3 = parse_field("CDV(CDV(F3))")
+    assert quadratic_extension(k3, nonsquare_unit(k3)).target is parse_field("CDV(CDV(F3^2))")
+    assert quadratic_extension(k3, uniformizer(k3)).target is k3
+
+
+def test_distinct_towers_stay_distinct():
+    pairs = [(FiniteField(3), FiniteField(5)), (FiniteField(5), FiniteField(5, 2)),
+             (GlobalFunctionField(9), FiniteField(3, 2))]
+    for a, b in pairs:
+        for x, y in ((a, b), (CDVField(a), CDVField(b)), (a, CDVField(a))):
+            assert x is not y and x != y
+            assert str(x) != str(y)
+            assert SquareClass(x, 0) != SquareClass(y, 0)
+            assert BrauerClass(x, ()) != BrauerClass(y, ())
+
+
+def test_copies_and_pickles_return_the_interned_tower():
+    towers = TOWERS + [GlobalFunctionField(9), CDVField(GlobalFunctionField(27)),
+                       FiniteField(3, 2)]
+    for k in towers:
+        assert copy.copy(k) is k
+        assert copy.deepcopy(k) is k
+        assert pickle.loads(pickle.dumps(k)) is k
+    a = parse_class(K2, "u*t")
+    B = parse_brauer(K2, "(u,pi);(t,u*pi)")
+    for x in (a, B):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x) and y.field is K2
+
+
+def test_descriptors_and_classes_refuse_assignment():
+    a = parse_class(K2, "u*t")
+    B = parse_brauer(K2, "(u,pi)")
+    hash(B)
+    for obj, name, value in ((F5, "p", 7), (F5, "e", 2), (K1, "residue", F5),
+                             (K1, "height", 3), (K1, "text", "F7"), (K1, "base", K1),
+                             (GlobalFunctionField(9), "q", 3), (K1, "extra", 1),
+                             (a, "data", 0), (a, "field", K1), (a, "extra", 1),
+                             (B, "symbols", ()), (B, "field", K1), (B, "_hash", 0)):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert F5.p == 5 and K1.residue is F5 and a.data == 5 and len(B.symbols) == 1
+
+
+def test_reprs_are_the_dataclass_texts():
+    assert repr(K2) == "CDVField(residue=CDVField(residue=FiniteField(p=5, e=1)))"
+    assert repr(CDVField(GlobalFunctionField(9))) == \
+        "CDVField(residue=GlobalFunctionField(q=9))"
+    assert repr(FiniteField(3, 2)) == "FiniteField(p=3, e=2)"
+    assert repr(parse_class(CDVField(GlobalFunctionField(9)), "v*pi")) == (
+        "SquareClass(field=CDVField(residue=GlobalFunctionField(q=9)), data=2, "
+        "names=frozenset({'v'}))")
+    assert repr(parse_brauer(K1, "(u,pi)")) == (
+        "BrauerClass(field=CDVField(residue=FiniteField(p=5, e=1)), symbols=(("
+        "SquareClass(field=CDVField(residue=FiniteField(p=5, e=1)), data=1, names=frozenset()), "
+        "SquareClass(field=CDVField(residue=FiniteField(p=5, e=1)), data=2, names=frozenset())),))")
+    assert repr(parse_brauer(F5, "1")) == "BrauerClass(field=FiniteField(p=5, e=1), symbols=())"
+
+
+def _ref_height(k):
+    return 1 + _ref_height(k.residue) if isinstance(k, CDVField) else 0
+
+
+def _ref_base(k):
+    return _ref_base(k.residue) if isinstance(k, CDVField) else k
+
+
+def _ref_text(k):
+    if isinstance(k, FiniteField):
+        return f"F{k.p}" if k.e == 1 else f"F{k.p}^{k.e}"
+    if isinstance(k, GlobalFunctionField):
+        return f"GFF({k.q})"
+    return f"CDV({_ref_text(k.residue)})"
+
+
+def test_tower_attributes_match_recursion_to_the_layer_bound():
+    for base in (FiniteField(5), FiniteField(3, 2), GlobalFunctionField(9)):
+        k = base
+        for layers in range(MAX_FIELD_HEIGHT + 1):
+            assert height(k) == _ref_height(k) == layers
+            assert base_field(k) is _ref_base(k) is base
+            assert field_to_str(k) == str(k) == _ref_text(k)
+            assert parse_field(field_to_str(k)) is k
+            k = CDVField(k)
+
+
+_HASH_SCRIPT = """
+from hermlab.brauer import parse_brauer
+from hermlab.fields import parse_class, parse_field
+k = parse_field("CDV(CDV(F5))")
+print(hash(k), hash(parse_class(k, "u*t")), hash(parse_brauer(k, "(u,pi);(t,u*pi)")))
+"""
+
+
+def test_hashes_do_not_depend_on_the_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _HASH_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=60, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+def test_unreferenced_towers_are_released():
+    k = CDVField(CDVField(FiniteField(1009)))  # a prime no other test uses
+    refs = [weakref.ref(k), weakref.ref(k.residue), weakref.ref(k.base)]
+    assert sqcl_group(k)[5] == parse_class(k, "u*t")
+    del k
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert height(CDVField(CDVField(FiniteField(1009)))) == 2

@@ -112,6 +112,25 @@ def test_split_class_treated_as_field():
     assert u_exact(B, "plus").value == 4
 
 
+def test_walk_memo_keeps_towers_with_equal_masks_apart():
+    # -1 is a nonsquare over F3 and F7, so both walks take the same steps on
+    # the same masks; each derivation must still name its own tower
+    def labels(d):
+        return [d.field_label] + [x for c in d.children for x in labels(c)]
+
+    for kind, cls, lam in (("plus", "(u,pi)", None), ("minus", "(u,pi)", None),
+                           ("zero", "1", "u"), ("zero", "(u,pi)", "t")):
+        results = []
+        for p in (3, 7):
+            k = CDVField(CDVField(FiniteField(p)))
+            results.append(u_exact(parse_brauer(k, cls), kind, lam and pc(k, lam)))
+        (v3, d3), (v7, d7) = results
+        assert v3 == v7
+        for p, d in ((3, d3), (7, d7)):
+            assert all(lb.replace("CDV(", "").startswith(f"F{p}") for lb in labels(d)), d
+        assert d7.render() == d3.render().replace("F3", "F7")
+
+
 def test_unitary_field_extension_values():
     assert u_exact(trivial_class(K1), "zero", pc(K1, "u")).value == 2
     assert u_exact(trivial_class(K1), "zero", pc(K1, "pi")).value == 2
