@@ -26,7 +26,6 @@ from .fields import (
     SquareClass,
     TransitionMap,
     class_to_str,
-    field_to_str,
     minus_one,
     nonsquare_unit,
     one,
@@ -64,7 +63,6 @@ from .brauer import (
 )
 from .hermitian import (
     HermFormDesc,
-    InvolutionDesc,
     UKind,
     canonical_involution,
     herm_is_isotropic,

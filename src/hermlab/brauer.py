@@ -48,7 +48,7 @@ class BrauerClass(Frozen):
     """The sum of symbols, pairs (a, b) of square classes over field (none:
     the trivial class).  The walk memo keys on it, so it hashes once."""
 
-    __slots__ = ("field", "symbols", "_hash")
+    __slots__ = ("field", "symbols", "_hash", "_effective")
 
     def __init__(self, field: FieldDesc, symbols):
         # stored as tuples, so that a class built from lists still hashes
@@ -59,6 +59,7 @@ class BrauerClass(Frozen):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_effective", None)
 
     def __eq__(self, other):
         if other.__class__ is not BrauerClass:
@@ -72,9 +73,12 @@ class BrauerClass(Frozen):
 
     @property
     def effective_symbols(self) -> tuple:
-        """Symbols with both slots nontrivial; the rest are split."""
-        return tuple((a, b) for a, b in self.symbols
-                     if not a.is_one and not b.is_one)
+        """Symbols with both slots nontrivial; the rest are split.  Built on
+        first read, like the hash: most classes are never read."""
+        if self._effective is None:
+            object.__setattr__(self, "_effective", tuple(
+                (a, b) for a, b in self.symbols if not a.is_one and not b.is_one))
+        return self._effective
 
     def __str__(self) -> str:
         if not self.symbols:
@@ -255,66 +259,64 @@ class UnitaryCase(Enum):
 @dataclass(frozen=True)
 class UnitaryCaseResult:
     """The case, B's character over the base, the unramified residue class
-    the case recurses on, and the unit part of the extension class.  In
-    cases 1 and 2 that residue class is B's own; in case 3 it is the
-    residue class of B over the ramified extension."""
+    the case recurses on, the unit part of the extension class, and whether
+    B split over the extension and was reduced to its center.  In cases 1
+    and 2 that residue class is B's own; in case 3 it is the residue class
+    of B over the ramified extension."""
 
     case: UnitaryCase
     character: SquareClass
     residue_unramified: BrauerClass
     lam_residue: SquareClass
+    reduced: bool
 
 
-def classify_unitary_case(B: BrauerClass, lam: SquareClass) -> UnitaryCaseResult:
-    """Sort the unitary setup over a valued layer into its three cases.
+def classify_unitary_case(B: BrauerClass, lam: SquareClass, index: DivisionKind,
+                          morita: bool) -> UnitaryCaseResult:
+    """Sort the unitary setup over a valued layer into its three cases,
+    given B's own index.
 
-    Whether B stays division over the extension is `bc_extended_index`'s
-    question, not this one's.  A ramified extension never leaves a
-    ramified algebra behind: that combination is checked to be absent
-    rather than assumed.  A ramified extension reuses the residue field, so
-    its base change is computable even when the residue classes are
-    symbolic.
+    Over a finite-based tower, B must stay division over k(sqrt(lam)); with
+    morita set, a class that splits there may also reduce to its center,
+    and is then classified as the trivial class.  Any other change of index
+    raises `NotDivisionError` with the isotropic norm or Albert form of the
+    extended class as its witness.  A split class needs no test: the
+    extension itself is the algebra.  Case 3 reads its residue class from
+    the same base change; a ramified extension reuses the residue field, so
+    that base change is computable even when the residue classes are
+    symbolic.  A ramified extension never leaves a ramified algebra behind:
+    that combination is checked to be absent rather than assumed.
     """
     k = B.field
     if not isinstance(k, CDVField):
         raise UnsupportedFieldError("case classification needs a valued layer")
     check_extension_class(k, lam)
+    B_K, reduced = None, False
+    if index is not DivisionKind.SPLIT and is_finite_based(k):
+        B_K = bc_base_change(B, quadratic_extension(k, lam))
+        after = bc_is_division(B_K)
+        if after is not index:
+            if not (morita and after is DivisionKind.SPLIT):
+                syms = B_K.symbols
+                witness = (norm_form(*syms[0]) if len(syms) == 1 else
+                           albert_form(*syms) if len(syms) == 2 else None)
+                raise NotDivisionError(
+                    f"the algebra does not stay division over the extension "
+                    f"({index.value} became {after.value})", witness)
+            # B_K is read only in case 3, whose extension keeps k
+            B = B_K = trivial_class(k)
+            reduced = True
 
     ram = bc_ramification(B)
     lam_unit, lam_vpar = lam.decompose()
     if lam_vpar:
-        ext_ram = bc_ramification(bc_base_change(B, quadratic_extension(k, lam)))
+        if B_K is None:
+            B_K = bc_base_change(B, quadratic_extension(k, lam))
+        ext_ram = bc_ramification(B_K)
         if not ext_ram.character.is_one:
             raise EngineError("a ramified extension left the algebra ramified")
         return UnitaryCaseResult(UnitaryCase.CASE3, ram.character,
-                                 ext_ram.residue_class, lam_unit)
+                                 ext_ram.residue_class, lam_unit, reduced)
     extended_ramified = not (ram.character.is_one or ram.character == lam_unit)
     case = UnitaryCase.CASE2 if extended_ramified else UnitaryCase.CASE1
-    return UnitaryCaseResult(case, ram.character, ram.residue_class, lam_unit)
-
-
-def bc_extended_index(B: BrauerClass, lam: SquareClass, index: DivisionKind,
-                      morita: bool) -> DivisionKind:
-    """Index of B over k(sqrt(lam)), given B's own index.
-
-    The algebra must stay division there; with morita set, a class that
-    splits over the extension may also reduce to its center.  Any other
-    change of index raises `NotDivisionError` with the isotropic norm or
-    Albert form of the extended class as its witness.  A split class needs
-    no test: the extension itself is the algebra.
-    """
-    if index is DivisionKind.SPLIT:
-        return index
-    B_K = bc_base_change(B, quadratic_extension(B.field, lam))
-    after = bc_is_division(B_K)
-    if after is index or (morita and after is DivisionKind.SPLIT):
-        return after
-    witness = None
-    syms = B_K.symbols
-    if len(syms) == 1:
-        witness = norm_form(*syms[0])
-    elif len(syms) == 2:
-        witness = albert_form(*syms)
-    raise NotDivisionError(
-        f"the algebra does not stay division over the extension "
-        f"({index.value} became {after.value})", witness)
+    return UnitaryCaseResult(case, ram.character, ram.residue_class, lam_unit, reduced)

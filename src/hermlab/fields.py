@@ -178,10 +178,6 @@ def height(k: FieldDesc) -> int:
     return k.height
 
 
-def base_field(k: FieldDesc) -> FieldDesc:
-    return k.base
-
-
 def is_finite_based(k: FieldDesc) -> bool:
     return isinstance(k.base, FiniteField)
 
@@ -195,10 +191,6 @@ def uniformizer_name(depth: int) -> str:
     if depth in _UNIFORMIZER_NAMES:
         return _UNIFORMIZER_NAMES[depth]
     return f"s{depth - 2}"
-
-
-def field_to_str(k: FieldDesc) -> str:
-    return k.text
 
 
 _FINITE_RE = re.compile(r"^F(\d+)(?:\^(\d+))?$")

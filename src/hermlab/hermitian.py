@@ -32,19 +32,6 @@ class UKind(str, Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class InvolutionDesc:
-    """The canonical involution (lam None) or the unitary one over
-    k(sqrt(lam)); lam alone decides the kind, since an involution is of
-    the second kind exactly when it moves the centre."""
-
-    lam: SquareClass = None
-
-    def __post_init__(self):
-        if self.lam is not None:
-            check_extension_class(self.lam.field, self.lam)
-
-
 def morita_reduce(B: BrauerClass):
     """(index, class) of the division algebra behind B; every matrix algebra
     over it has its u-invariants.  The class has no symbol when B splits,
@@ -60,14 +47,16 @@ def morita_reduce(B: BrauerClass):
 
 @dataclass(frozen=True)
 class HermFormDesc:
-    """Diagonal descriptor with entries in the base field.
+    """Diagonal descriptor with entries in the base field.  lam names the
+    involution by its centre: None for the canonical involution, a class
+    for the unitary one over k(sqrt(lam)).
 
     Shape (a): division quaternion algebra, canonical involution, sign +1.
     Shape (b): trivial algebra with a unitary involution over k(sqrt(lam)).
     """
 
     algebra: BrauerClass
-    involution: InvolutionDesc
+    lam: SquareClass
     eps: int
     entries: tuple
 
@@ -76,8 +65,8 @@ class HermFormDesc:
         for c in self.entries:
             if c.field is not k:
                 raise FieldMismatchError("form entry over the wrong field")
-        if self.involution.lam is not None:
-            check_extension_class(k, self.involution.lam)
+        if self.lam is not None:
+            check_extension_class(k, self.lam)
 
     @property
     def rank(self) -> int:
@@ -88,7 +77,7 @@ class HermFormDesc:
         """The form each entry is tensored with, decided once per descriptor:
         the norm form of the Morita representative's one symbol (shape a),
         <1, -lam> (shape b), or None for an unsupported shape."""
-        lam = self.involution.lam
+        lam = self.lam
         if lam is None and self.eps == 1:
             kind, division = morita_reduce(self.algebra)
             if kind is DivisionKind.QUATERNION:
@@ -102,7 +91,7 @@ class HermFormDesc:
     def shape(self) -> str:
         if self.template is None:
             return "unsupported"
-        return "a" if self.involution.lam is None else "b"
+        return "a" if self.lam is None else "b"
 
 
 def reduced_quadratic(h: HermFormDesc) -> QuadForm:
@@ -136,7 +125,7 @@ def herm_is_isotropic(h: HermFormDesc) -> bool:
     return h.rank > 0 and qf_is_isotropic(reduced_quadratic(h))
 
 
-def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int) -> int:
+def u_search(B: BrauerClass, lam: SquareClass, eps: int) -> int:
     """Largest rank of an anisotropic form of a supported shape, found by
     the subform-closed search of `max_anisotropic_rank` over entry tuples
     of square-class masks of B's field k.
@@ -148,7 +137,7 @@ def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int) -> int:
     """
     k = B.field
     classes = search_classes(k)
-    template = HermFormDesc(B, inv, eps, ()).template
+    template = HermFormDesc(B, lam, eps, ()).template
     if template is None:
         raise UnsupportedShapeError("u search covers the two reducible shapes only")
     template = [t.data for t in template]
@@ -158,9 +147,12 @@ def u_search(B: BrauerClass, inv: InvolutionDesc, eps: int) -> int:
         lambda masks: not _masks_isotropic([c ^ t for c in masks for t in template], m1))
 
 
-def canonical_involution() -> InvolutionDesc:
-    return InvolutionDesc()
+def canonical_involution() -> None:
+    """The canonical involution's extension class: none, it fixes the centre."""
+    return None
 
 
-def unitary_involution(lam: SquareClass) -> InvolutionDesc:
-    return InvolutionDesc(lam)
+def unitary_involution(lam: SquareClass) -> SquareClass:
+    """The unitary involution over k(sqrt(lam)) is named by lam itself."""
+    check_extension_class(lam.field, lam)
+    return lam

@@ -23,7 +23,6 @@ from .fields import (
     FiniteField,
     SquareClass,
     class_to_str,
-    field_to_str,
     is_finite_based,
     minus_one,
     one,
@@ -102,7 +101,7 @@ def _isotropic_rec(k: FieldDesc, masks: tuple, path: list) -> bool:
     form is isotropic exactly when one of the two residue forms is.
     Appends one entry per node to path."""
     if not masks:
-        path.append({"field": field_to_str(k), "form": _form_str(k, masks),
+        path.append({"field": k.text, "form": _form_str(k, masks),
                      "isotropic": False, "reason": "empty form"})
         return False
     if isinstance(k, FiniteField):
@@ -111,7 +110,7 @@ def _isotropic_rec(k: FieldDesc, masks: tuple, path: list) -> bool:
     units = tuple(m for m in masks if not m & bit)
     odd = tuple(m ^ bit for m in masks if m & bit)
     res = k.residue
-    path.append({"field": field_to_str(k), "form": _form_str(k, masks),
+    path.append({"field": k.text, "form": _form_str(k, masks),
                  "unit_part": _form_str(res, units),
                  "twisted_part": _form_str(res, odd)})
     return _isotropic_rec(res, units, path) or _isotropic_rec(res, odd, path)
@@ -126,7 +125,7 @@ def _finite_base_case(k: FiniteField, masks: tuple, path: list) -> bool:
         reason = "binary form, -ab square" if verdict else "binary form, -ab nonsquare"
     else:
         verdict, reason = False, "at most one variable"
-    path.append({"field": field_to_str(k), "form": _form_str(k, masks),
+    path.append({"field": k.text, "form": _form_str(k, masks),
                  "isotropic": verdict, "reason": reason})
     return verdict
 

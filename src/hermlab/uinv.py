@@ -36,7 +36,6 @@ from .brauer import (
     DivisionKind,
     UnitaryCase,
     bc_base_change,
-    bc_extended_index,
     bc_ramification,
     bc_supported_symbols,
     classify_unitary_case,
@@ -209,12 +208,12 @@ def _verify_flat(category, kind: UKind, lam, entries) -> bool:
     if kind is UKind.ZERO:
         if index is not DivisionKind.SPLIT:
             return False
-        h = HermFormDesc(trivial_class(k), unitary_involution(lam), 1, entries)
+        h = HermFormDesc(trivial_class(k), lam, 1, entries)
         return not herm_is_isotropic(h)
     if index is DivisionKind.SPLIT:
         return not qf_is_isotropic(QuadForm(k, entries))
     if index is DivisionKind.QUATERNION and kind is UKind.MINUS:
-        h = HermFormDesc(Bn, canonical_involution(), 1, entries)
+        h = HermFormDesc(Bn, None, 1, entries)
         return not herm_is_isotropic(h)
     return False
 
@@ -387,10 +386,6 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     """
     k = B.field
     index, Bn = _category(B)
-    reduced_note = ""
-    if is_finite_based(k) and bc_extended_index(Bn, lam, index, morita) is not index:
-        Bn = trivial_class(k)
-        reduced_note = "; splits over the extension; reduced to the center"
     fl, cl = k.text, str(Bn)
     ext_note = f"extension by {class_to_str(lam)}"
     if isinstance(k, FiniteField):
@@ -401,8 +396,11 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     assert_children = ()
     if not is_finite_based(k) and index is not DivisionKind.SPLIT:
         assert_children = (_assert_leaf(fl, cl, assertions),)
-    case = classify_unitary_case(Bn, lam)
-    case_note = f"{case.case}; {ext_note}{reduced_note}"
+    case = classify_unitary_case(Bn, lam, index, morita)
+    case_note = f"{case.case}; {ext_note}"
+    if case.reduced:
+        cl = str(trivial_class(k))
+        case_note += "; splits over the extension; reduced to the center"
     res_class = case.residue_unramified
 
     if case.case is UnitaryCase.CASE1:

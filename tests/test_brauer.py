@@ -5,12 +5,12 @@ from itertools import chain, combinations, combinations_with_replacement, islice
 
 import pytest
 
+from hermlab import brauer
 from hermlab.brauer import (
     BrauerClass,
     DivisionKind,
     UnitaryCase,
     bc_base_change,
-    bc_extended_index,
     bc_is_division,
     bc_is_trivial,
     bc_key,
@@ -94,6 +94,14 @@ def test_division_kinds():
     assert bc_is_division(parse_brauer(K1, "(u,pi);(1,1)")) == DivisionKind.QUATERNION
     with pytest.raises(UnsupportedClassError):
         bc_is_division(parse_brauer(K1, "(u,pi);(u,u);(pi,pi)"))
+
+
+def test_effective_symbols_are_built_once_and_change_no_identity():
+    B = parse_brauer(K2, "(u,p);(1,t)")
+    fresh = parse_brauer(K2, "(u,p);(1,t)")
+    assert B.effective_symbols is B.effective_symbols
+    assert B.effective_symbols == ((parse_class(K2, "u"), parse_class(K2, "p")),)
+    assert B == fresh and hash(B) == hash(fresh) and repr(B) == repr(fresh)
 
 
 def test_division_invariant_under_swap_and_padding():
@@ -274,20 +282,37 @@ def test_base_change_by_independent_unit_keeps_ramification():
 
 def test_classifier_case3_on_ramified_extension():
     B = parse_brauer(K2, "(u,p)")
-    res = classify_unitary_case(B, parse_class(K2, "t"))
+    res = classify_unitary_case(B, parse_class(K2, "t"), DivisionKind.QUATERNION, False)
     assert res.case == UnitaryCase.CASE3
     assert str(res.residue_unramified) == "(u,pi)"
 
 
+def test_classifier_case3_makes_one_base_change(monkeypatch):
+    # the extended index and the extended residue class come from one base change
+    calls = []
+
+    def counted(B, m):
+        calls.append(B)
+        return bc_base_change(B, m)
+
+    monkeypatch.setattr(brauer, "bc_base_change", counted)
+    res = classify_unitary_case(parse_brauer(K2, "(u,p)"), parse_class(K2, "t"),
+                                DivisionKind.QUATERNION, False)
+    assert (res.case, str(res.residue_unramified), res.reduced) == \
+        (UnitaryCase.CASE3, "(u,pi)", False)
+    assert len(calls) == 1
+
+
 def test_classifier_case2_on_ramified_algebra():
     B = parse_brauer(K2, "(u,t)")
-    res = classify_unitary_case(B, parse_class(K2, "p"))
+    res = classify_unitary_case(B, parse_class(K2, "p"), DivisionKind.QUATERNION, False)
     assert res.case == UnitaryCase.CASE2
     assert class_to_str(res.character) == "u"
 
 
 def test_classifier_case1_for_field_case():
-    res = classify_unitary_case(trivial_class(K2), parse_class(K2, "u"))
+    res = classify_unitary_case(trivial_class(K2), parse_class(K2, "u"),
+                                DivisionKind.SPLIT, False)
     assert res.case == UnitaryCase.CASE1
 
 
@@ -306,18 +331,21 @@ def test_classifier_division_precondition():
 
 
 def test_extended_index_keeps_the_index():
-    assert bc_extended_index(parse_brauer(K2, "(u,t)"), parse_class(K2, "p"),
-                             DivisionKind.QUATERNION, False) is DivisionKind.QUATERNION
-    assert bc_extended_index(trivial_class(K2), parse_class(K2, "u"),
-                             DivisionKind.SPLIT, False) is DivisionKind.SPLIT
+    res = classify_unitary_case(parse_brauer(K2, "(u,t)"), parse_class(K2, "p"),
+                                DivisionKind.QUATERNION, False)
+    assert (res.case, res.reduced) == (UnitaryCase.CASE2, False)
+    res = classify_unitary_case(trivial_class(K2), parse_class(K2, "u"),
+                                DivisionKind.SPLIT, False)
+    assert (res.case, res.reduced) == (UnitaryCase.CASE1, False)
 
 
 def test_extended_index_splits_only_with_morita():
     B, lam = parse_brauer(K2, "(u,t)"), parse_class(K2, "t")
-    assert bc_extended_index(B, lam, DivisionKind.QUATERNION, True) \
-        is DivisionKind.SPLIT
+    res = classify_unitary_case(B, lam, DivisionKind.QUATERNION, True)
+    assert (res.case, res.reduced) == (UnitaryCase.CASE3, True)
+    assert (class_to_str(res.character), str(res.residue_unramified)) == ("1", "1")
     with pytest.raises(NotDivisionError) as err:
-        bc_extended_index(B, lam, DivisionKind.QUATERNION, False)
+        classify_unitary_case(B, lam, DivisionKind.QUATERNION, False)
     assert str(err.value) == ("the algebra does not stay division over the "
                               "extension (quaternion became split)")
     assert qf_is_isotropic(err.value.witness)
@@ -328,14 +356,15 @@ def test_extended_index_refuses_a_lost_biquaternion():
     B = parse_brauer(k, "(u,pi);(t,s)")
     for morita in (False, True):
         with pytest.raises(NotDivisionError) as err:
-            bc_extended_index(B, parse_class(k, "u"), DivisionKind.BIQUATERNION, morita)
+            classify_unitary_case(B, parse_class(k, "u"), DivisionKind.BIQUATERNION, morita)
         assert str(err.value).endswith("(biquaternion became quaternion)")
         assert qf_is_isotropic(err.value.witness)
 
 
 def test_classifier_rejects_trivial_extension_class():
     with pytest.raises(InvalidExtensionError):
-        classify_unitary_case(parse_brauer(K1, "(u,pi)"), parse_class(K1, "1"))
+        classify_unitary_case(parse_brauer(K1, "(u,pi)"), parse_class(K1, "1"),
+                              DivisionKind.QUATERNION, False)
 
 
 def test_gff_residue_needs_assertion():
@@ -343,7 +372,7 @@ def test_gff_residue_needs_assertion():
     B = parse_brauer(kg, "(a,b)")
     with pytest.raises(NeedsAssertionError):
         u_exact(B, "zero", parse_class(kg, "v"))
-    res = classify_unitary_case(B, parse_class(kg, "v"))
+    res = classify_unitary_case(B, parse_class(kg, "v"), DivisionKind.QUATERNION, False)
     assert res.case == UnitaryCase.CASE1
     with pytest.raises(UnsupportedFieldError):
         bc_is_division(B)

@@ -198,7 +198,7 @@ def _ref_jacobson(h):
 
 def _ref_transfer(h):
     k = h.algebra.field
-    m1, lam = minus_one(k), h.involution.lam
+    m1, lam = minus_one(k), h.lam
     pieces = []
     for c in h.entries:
         pieces.append(c)

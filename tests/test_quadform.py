@@ -352,7 +352,7 @@ def test_plain_decision_formats_no_path_strings(monkeypatch):
         raise AssertionError("a plain isotropy decision formatted a path string")
 
     monkeypatch.setattr(QuadForm, "__str__", refuse)
-    monkeypatch.setattr(quadform, "field_to_str", refuse)
+    monkeypatch.setattr(quadform, "_form_str", refuse)
     assert not qf_is_isotropic(anisotropic)
     assert qf_is_isotropic(isotropic)
 

@@ -186,9 +186,12 @@ def test_unitary_preconditions():
 EXTENSION_ENTRY_POINTS = {
     "u_exact": lambda B, lam: u_exact(B, "zero", lam),
     "witness": lambda B, lam: witness(B, B.field, "zero", lam),
-    "classify_unitary_case": classify_unitary_case,
+    "classify_unitary_case": lambda B, lam: classify_unitary_case(
+        B, lam, DivisionKind.SPLIT, False),
     "quadratic_extension": lambda B, lam: quadratic_extension(B.field, lam),
-    "HermFormDesc": lambda B, lam: HermFormDesc(B, unitary_involution(lam), 1, ()),
+    "HermFormDesc": lambda B, lam: HermFormDesc(B, lam, 1, ()),
+    "u_search": lambda B, lam: u_search(B, lam, 1),
+    "unitary_involution": lambda B, lam: HermFormDesc(B, unitary_involution(lam), 1, ()),
 }
 
 
@@ -203,6 +206,13 @@ def test_extension_class_is_refused_by_one_owner(entry, lam, error, message):
     with pytest.raises(error) as err:
         EXTENSION_ENTRY_POINTS[entry](trivial_class(K1), lam)
     assert type(err.value) is error and str(err.value) == message
+
+
+def test_involutions_are_their_extension_classes():
+    lam = pc(K1, "u")
+    assert unitary_involution(lam) is lam
+    assert canonical_involution() is None
+    assert HermFormDesc(trivial_class(K1), lam, 1, ()).shape == "b"
 
 
 def test_more_than_two_symbols_rejected():
