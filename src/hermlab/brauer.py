@@ -151,7 +151,7 @@ def bc_key(B: BrauerClass) -> int:
     k = B.field
     if not is_finite_based(k):
         raise UnsupportedFieldError("Brauer keys need a finite-based tower")
-    h, m1 = k.height, k.base.minus_one_bit
+    h, m1 = k.height, k.minus_one_bit
     key = 0
     for a, b in B.symbols:
         key ^= _symbol_key(a.data, b.data, h, m1)
@@ -229,7 +229,7 @@ def bc_single_symbol_rep(B: BrauerClass):
     if not isinstance(k, CDVField):
         raise UnsupportedFieldError("single-symbol representatives need a valued layer")
     key = bc_key(B)
-    pair = _single_symbol_table(k.height, k.base.minus_one_bit).get(key)
+    pair = _single_symbol_table(k.height, k.minus_one_bit).get(key)
     if pair is None:
         raise UnsupportedClassError("single-symbol representatives exist for "
                                     "classes of index at most two only")

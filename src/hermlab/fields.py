@@ -96,11 +96,13 @@ class Frozen:
 class FieldDesc(Frozen):
     """A tower descriptor: a FiniteField or GlobalFunctionField base under
     zero or more CDVField layers.  Each distinct tower is one live object,
-    so equality is identity and copies are that object.  Height, base, text
+    so equality is identity and copies are that object.  Height, base, text,
+    the mask of -1's class (``minus_one_bit``: 1, the nonsquare u, iff the
+    finite base's order is 3 mod 4; None over a global-function-field base)
     and hash are computed once, when it is built; the hash is that of the
     constructor's arguments, ints at the base, whatever the hash seed."""
 
-    __slots__ = ("_hash", "height", "base", "text", "__weakref__")
+    __slots__ = ("_hash", "height", "base", "text", "minus_one_bit", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash
@@ -109,11 +111,12 @@ class FieldDesc(Frozen):
         return self.text
 
 
-def _intern(cls, args: tuple, height: int, base, text: str) -> FieldDesc:
+def _intern(cls, args: tuple, height: int, base, text: str, minus_one_bit) -> FieldDesc:
     """A new descriptor of cls, its own slots set from args; base None is itself."""
     k = object.__new__(cls)
     for name, value in (*zip(cls.__slots__, args), ("_hash", hash(args)), ("height", height),
-                        ("base", k if base is None else base), ("text", text)):
+                        ("base", k if base is None else base), ("text", text),
+                        ("minus_one_bit", minus_one_bit)):
         _set(k, name, value)
     _INTERNED[(cls, *args)] = k
     return k
@@ -131,13 +134,9 @@ class FiniteField(FieldDesc):
                 raise ValueError(f"finite base needs an odd prime, got {p}")
             if e < 1:
                 raise ValueError(f"extension degree must be >= 1, got {e}")
-            k = _intern(cls, (p, e), 0, None, f"F{p}" if e == 1 else f"F{p}^{e}")
+            k = _intern(cls, (p, e), 0, None, f"F{p}" if e == 1 else f"F{p}^{e}",
+                        pow(p, e, 4) >> 1)
         return k
-
-    @property
-    def minus_one_bit(self) -> int:
-        """The mask of -1's class: 1 (the nonsquare u) iff the order is 3 mod 4."""
-        return self.p ** self.e % 4 >> 1
 
 
 class GlobalFunctionField(FieldDesc):
@@ -154,7 +153,7 @@ class GlobalFunctionField(FieldDesc):
         if k is None:
             if not _odd_prime_power(q):
                 raise ValueError(f"constant field size must be an odd prime power, got {q}")
-            k = _intern(cls, (q,), 0, None, f"GFF({q})")
+            k = _intern(cls, (q,), 0, None, f"GFF({q})", None)
         return k
 
 
@@ -169,7 +168,7 @@ class CDVField(FieldDesc):
         k = _INTERNED.get((cls, residue))
         if k is None:
             k = _intern(cls, (residue,), residue.height + 1, residue.base,
-                        f"CDV({residue.text})")
+                        f"CDV({residue.text})", residue.minus_one_bit)
         return k
 
 
@@ -193,11 +192,12 @@ def uniformizer_name(depth: int) -> str:
     return f"s{depth - 2}"
 
 
-_FINITE_RE = re.compile(r"^F(\d+)(?:\^(\d+))?$")
-_GFF_RE = re.compile(r"^GFF\((\d+)\)$")
+# Digits are ASCII 0-9 only: \d and int() would also read other Unicode digits.
+_FINITE_RE = re.compile(r"^F([0-9]+)(?:\^([0-9]+))?$")
+_GFF_RE = re.compile(r"^GFF\(([0-9]+)\)$")
 _CDV_RE = re.compile(r"^CDV\((.+)\)$")
-_QP_RE = re.compile(r"^Qp\[p=(\d+)\]$")
-_QPT_RE = re.compile(r"^Qp\(\(t\)\)\[p=(\d+)\]$")
+_QP_RE = re.compile(r"^Qp\[p=([0-9]+)\]$")
+_QPT_RE = re.compile(r"^Qp\(\(t\)\)\[p=([0-9]+)\]$")
 
 
 def parse_field(text: str) -> FieldDesc:
@@ -316,7 +316,7 @@ def minus_one(k: FieldDesc) -> SquareClass:
     base = k.base
     if isinstance(base, GlobalFunctionField):
         return SquareClass(k, 0, frozenset() if base.q % 4 == 1 else frozenset({"-1"}))
-    return SquareClass(k, base.minus_one_bit)
+    return SquareClass(k, k.minus_one_bit)
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -406,7 +406,7 @@ def _parse_generator(k: FieldDesc, token: str) -> SquareClass:
     finite = is_finite_based(k)
     if token == "u" and finite:
         return SquareClass(k, 1)
-    if re.fullmatch(r"-?\d+", token):
+    if re.fullmatch(r"-?[0-9]+", token):
         return class_of_rational(k, int(token))
     if not finite and re.fullmatch(r"[A-Za-z]\w*", token):
         return SquareClass(k, 0, frozenset({token}))

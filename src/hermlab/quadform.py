@@ -56,11 +56,11 @@ def _form_str(k: FieldDesc, masks: tuple) -> str:
 
 def _minus_one_bit(k: FieldDesc) -> int:
     """The mask of -1's class over a finite-based tower k."""
-    base = k.base
-    if not isinstance(base, FiniteField):
+    m1 = k.minus_one_bit
+    if m1 is None:
         raise UnsupportedFieldError("isotropy is undecidable over a "
                                     "global-function-field base")
-    return base.minus_one_bit
+    return m1
 
 
 def _masks_isotropic(masks, m1: int) -> bool:

@@ -7,6 +7,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -477,6 +478,36 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == "plus <= 6, minus <= 2\n"
+
+
+def test_a_large_extension_degree_ends_fast():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def isotropy(field, timeout):
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "hermlab", "isotropy", "quad",
+                               "--field", field, "--form", "1,u"],
+                              capture_output=True, text=True, env=env, timeout=timeout)
+        return proc, time.monotonic() - start
+
+    control, control_s = isotropy("CDV(F5)", 60)
+    assert control.returncode == 0
+    # the budget is about one second over a fresh process of the same verb
+    budget = control_s + 1.0
+    field = "CDV(F5^" + "9" * 4000 + ")"
+    proc, elapsed = isotropy(field, budget)
+    assert proc.returncode == 0 and elapsed < budget
+    assert proc.stdout == f"<1,u> over {field}: anisotropic\n"
+
+
+def test_non_ascii_digits_are_a_usage_error(capsys):
+    code, out, err = run(capsys, "isotropy", "quad", "--field", "CDV(F\u0665)",
+                         "--form", "1,\u0663")
+    assert (code, out) == (1, "") and err.startswith("usage error: ")
+    code, out, err = run(capsys, "isotropy", "quad", "--field", "CDV(F5)",
+                         "--form", "1,\u0663")
+    assert (code, out) == (1, "") and err.startswith("usage error: ")
 
 
 def test_closed_output_pipe_exits_without_a_traceback():

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -133,6 +134,22 @@ def test_parse_rejects_unknown_generators():
         parse_field("F6")
     with pytest.raises(ParseError):
         parse_field("CDV(")
+
+
+# Unicode decimal digits other than 0-9: Arabic-Indic and fullwidth.
+@pytest.mark.parametrize("text", ["F\u0665", "F5^\u0662", "F\uff15", "GFF(\u0669)",
+                                  "Qp[p=\u0665]", "Qp((t))[p=\u0665]", "CDV(F\u0665)"])
+def test_field_grammar_takes_ascii_digits_only(text):
+    with pytest.raises(ParseError):
+        parse_field(text)
+
+
+def test_class_grammar_takes_ascii_digits_only():
+    for k in (K1, CDVField(GlobalFunctionField(9))):
+        for text in ("\u0663", "-\u0663", "u*\uff13"):
+            with pytest.raises(ParseError):
+                parse_class(k, text)
+    assert parse_class(K1, "-3") == parse_class(K1, "u") and parse_class(K1, "4").is_one
 
 
 def test_symbolic_classes_multiply_by_cancellation():
@@ -474,12 +491,35 @@ def test_copies_and_pickles_return_the_interned_tower():
             assert y == x and hash(y) == hash(x) and y.field is K2
 
 
+def test_minus_one_bit_matches_the_order_mod_four():
+    for p in (3, 5, 7, 11, 13):
+        for e in (1, 2, 3):
+            base = FiniteField(p, e)
+            k = CDVField(CDVField(base))
+            assert base.minus_one_bit == k.minus_one_bit == p ** e % 4 >> 1
+            assert minus_one(k).data == base.minus_one_bit
+    assert GlobalFunctionField(7).minus_one_bit is None
+    assert CDVField(GlobalFunctionField(9)).minus_one_bit is None
+
+
+def test_a_large_extension_degree_is_read_once():
+    # -1's mask is computed once per tower, not as p**e on every read
+    start = time.monotonic()
+    assert parse_field("F5^10000000").minus_one_bit == 0
+    assert parse_field("F3^10000001").minus_one_bit == 1
+    assert time.monotonic() - start < 1.0
+    k = parse_field("F5^3")
+    assert repr(k) == "FiniteField(p=5, e=3)"
+    assert pickle.loads(pickle.dumps(k)) is k
+
+
 def test_descriptors_and_classes_refuse_assignment():
     a = parse_class(K2, "u*t")
     B = parse_brauer(K2, "(u,pi)")
     hash(B)
     for obj, name, value in ((F5, "p", 7), (F5, "e", 2), (K1, "residue", F5),
                              (K1, "height", 3), (K1, "text", "F7"), (K1, "base", K1),
+                             (F5, "minus_one_bit", 1), (K1, "minus_one_bit", 1),
                              (GlobalFunctionField(9), "q", 3), (K1, "extra", 1),
                              (a, "data", 0), (a, "field", K1), (a, "extra", 1),
                              (B, "symbols", ()), (B, "field", K1), (B, "_hash", 0)):

@@ -1,9 +1,11 @@
 """Hermitian descriptors, reductions and exhaustive searches."""
 
+import random
 from itertools import combinations_with_replacement, islice, permutations, product
 
 import pytest
 
+import hermlab.hermitian
 from hermlab.brauer import (
     BrauerClass,
     DivisionKind,
@@ -12,7 +14,7 @@ from hermlab.brauer import (
     parse_brauer,
     trivial_class,
 )
-from hermlab.errors import InvalidExtensionError, UnsupportedShapeError
+from hermlab.errors import InvalidExtensionError, UnsupportedFieldError, UnsupportedShapeError
 from hermlab.fields import (
     CDVField,
     FiniteField,
@@ -34,7 +36,7 @@ from hermlab.hermitian import (
     u_search,
     unitary_involution,
 )
-from hermlab.quadform import albert_form, norm_form, u_quadratic
+from hermlab.quadform import albert_form, norm_form, qf_is_isotropic, u_quadratic
 
 F5 = FiniteField(5)
 K1 = CDVField(F5)
@@ -252,3 +254,61 @@ def test_transfer_keeps_symbolic_units():
             h = HermFormDesc(trivial_class(k), unitary_involution(lam), 1,
                              (one(k), w, v * w * pi))
             assert transfer_quadratic(h).entries == _ref_transfer(h)
+
+
+# herm_is_isotropic decides on entry masks; the reduced quadratic form and
+# its decision are the reference route.
+
+def _entry_tuples(classes, seed):
+    """Seeded entry tuples of ranks 0 to 6: past u for every shape at
+    heights 1 and 2 (u is at most 2 for shape a and 4 for shape b there)."""
+    rng = random.Random(seed)
+    return [tuple(rng.choice(classes) for _ in range(rank))
+            for rank in range(7) for _ in range(3)]
+
+
+@pytest.mark.parametrize("k", [CDVField(FiniteField(p)) for p in (3, 5)] + HEIGHT_TWO, ids=str)
+def test_isotropy_on_masks_matches_the_reduced_quadratic_form(k):
+    classes = sqcl_group(k)
+    forms = []
+    for a, b in product(classes, repeat=2):
+        B = BrauerClass(k, ((a, b),))
+        if bc_is_division(B) is DivisionKind.QUATERNION:
+            forms.append((B, canonical_involution()))
+    assert forms
+    forms += [(trivial_class(k), unitary_involution(lam)) for lam in classes[1:]]
+    verdicts = set()
+    for seed, (B, lam) in enumerate(forms):
+        for entries in _entry_tuples(classes, seed):
+            h = HermFormDesc(B, lam, 1, entries)
+            verdict = herm_is_isotropic(h)
+            assert verdict == (h.rank > 0 and qf_is_isotropic(reduced_quadratic(h))), str(h)
+            verdicts.add((h.shape, h.rank > 0, verdict))
+    assert {(s, True, v) for s in "ab" for v in (False, True)} <= verdicts
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_isotropy_refusals_over_a_gff_base_keep_their_order(q):
+    k = CDVField(GlobalFunctionField(q))
+    v = parse_class(k, "v")
+    division = parse_brauer(k, "(v,pi)")
+    shapes = ((division, None, -1), (division, None, 1), (trivial_class(k), v, 1),
+              (trivial_class(k), parse_class(k, "pi"), 1))
+    for B, lam, eps in shapes:
+        assert not herm_is_isotropic(HermFormDesc(B, lam, eps, ()))
+    entries = (one(k), v)
+    with pytest.raises(UnsupportedShapeError, match="no concrete decider for this form shape"):
+        herm_is_isotropic(HermFormDesc(division, None, -1, entries))
+    with pytest.raises(UnsupportedFieldError, match="division testing needs a finite-based tower"):
+        herm_is_isotropic(HermFormDesc(division, None, 1, entries))
+    for B, lam, eps in shapes[2:]:
+        h = HermFormDesc(B, lam, eps, entries)
+        assert h.shape == "b"
+        with pytest.raises(UnsupportedFieldError,
+                           match="^isotropy is undecidable over a global-function-field base$"):
+            herm_is_isotropic(h)
+
+
+def test_hermitian_keeps_the_quadratic_decider_bound():
+    # the benchmark's tracer test asserts that hermitian binds this name
+    assert hermlab.hermitian.qf_is_isotropic is qf_is_isotropic

@@ -38,7 +38,8 @@ from hermlab.fields import (
     quadratic_extension,
     sqcl_group,
 )
-from hermlab.hermitian import HermFormDesc, canonical_involution, u_search, unitary_involution
+from hermlab.hermitian import (HermFormDesc, UKind, canonical_involution, u_search,
+                               unitary_involution)
 from hermlab.quadform import u_quadratic
 from hermlab.uinv import (
     MAX_BOUND_LEVEL,
@@ -326,6 +327,31 @@ def test_witness_plus_field_is_quadratic():
     assert [class_to_str(c) for c in w.entries] == \
         ["1", "u", "pi", "u*pi", "t", "u*t", "pi*t", "u*pi*t"]
     assert w.rank == 8 and w.verified
+
+
+def test_verify_flat_rejects_each_unverifiable_witness():
+    B = parse_brauer(K1, "(u,pi)")
+    one_, m1 = pc(K1, "1"), pc(K1, "-1")
+    quaternion, split = (DivisionKind.QUATERNION, B), (DivisionKind.SPLIT, trivial_class(K1))
+    # the zero kind over a non-split index, and the plus kind, have no flat decider
+    assert not uinv._verify_flat(quaternion, UKind.ZERO, pc(K1, "u"), (one_,))
+    assert not uinv._verify_flat(quaternion, UKind.PLUS, None, (one_,))
+    # isotropic flat forms: quadratic, quaternion-minus and unitary
+    assert not uinv._verify_flat(split, UKind.MINUS, None, (one_, m1))
+    assert not uinv._verify_flat(quaternion, UKind.MINUS, None, (one_, one_))
+    assert not uinv._verify_flat(split, UKind.ZERO, pc(K1, "u"), (one_,) * 3)
+    # and their anisotropic counterparts pass
+    assert uinv._verify_flat(split, UKind.MINUS, None, (one_, pc(K1, "u")))
+    assert uinv._verify_flat(quaternion, UKind.MINUS, None, (one_,))
+    assert uinv._verify_flat(split, UKind.ZERO, pc(K1, "u"), (one_, pc(K1, "pi")))
+
+
+def test_witness_drops_rejected_flat_entries(monkeypatch):
+    B = parse_brauer(K1, "(u,pi)")
+    assert witness(B, K1, "minus").entries is not None
+    monkeypatch.setattr(uinv, "_verify_flat", lambda *args: False)
+    w = witness(B, K1, "minus")
+    assert (w.rank, w.entries, w.verified) == (1, None, False)
 
 
 def test_witness_symbolic_tree_has_concrete_leaves():
