@@ -36,7 +36,6 @@ from .fields import (
     class_to_str,
     is_finite_based,
     minus_one,
-    one,
     parse_class,
     quadratic_extension,
     transport,
@@ -114,26 +113,33 @@ class RamificationData:
 
 
 def bc_ramification(B: BrauerClass) -> RamificationData:
-    """Split a class over a valued layer into residue symbols and character."""
+    """Split a class over a valued layer into residue symbols and character,
+    on masks: a slot's unit part is its mask below the top bit, its
+    valuation parity the top bit."""
     k = B.field
     if not isinstance(k, CDVField):
         raise UnsupportedFieldError("ramification data needs a valued layer")
-    res = k.residue
-    character = one(res)
-    residue_symbols = []
+    res, h = k.residue, k.height
+    unit = (1 << h) - 1
     m1 = minus_one(res)
+    character, names = 0, frozenset()
+    residue_symbols = []
     for a, b in B.symbols:
-        (s, i) = a.decompose()
-        (t, j) = b.decompose()
+        s, t = a.data & unit, b.data & unit
+        i, j = a.data >> h, b.data >> h
         if j:
-            character = character * s
+            character ^= s
+            names ^= a.names
         if i:
-            character = character * t
+            character ^= t
+            names ^= b.names
         if i and j:
-            character = character * m1
-        if not s.is_one and not t.is_one:
-            residue_symbols.append((s, t))
-    return RamificationData(character, BrauerClass(res, tuple(residue_symbols)))
+            character ^= m1.data
+            names ^= m1.names
+        if (s or a.names) and (t or b.names):
+            residue_symbols.append((SquareClass(res, s, a.names), SquareClass(res, t, b.names)))
+    return RamificationData(SquareClass(res, character, names),
+                            BrauerClass(res, tuple(residue_symbols)))
 
 
 def _symbol_key(a: int, b: int, h: int, m1: int) -> int:
@@ -214,10 +220,16 @@ def _single_symbol_table(h: int, m1: int) -> dict:
     if n > MAX_TABLE_CLASSES:
         raise ValueError(f"single-symbol representatives cover towers of at most "
                          f"{MAX_TABLE_CLASSES} square classes; a height-{h} tower has {n}")
+    # _symbol_key is bilinear, so each row a is filled from the keys of a
+    # with the h+1 single bits b = 1 << j, in the order of b
     table = {}
     for a in range(n):
-        for b in range(n):
-            table.setdefault(_symbol_key(a, b, h, m1), (a, b))
+        row = [0]
+        for j in range(h + 1):
+            col = _symbol_key(a, 1 << j, h, m1)
+            row += [key ^ col for key in row]
+        for b, key in enumerate(row):
+            table.setdefault(key, (a, b))
     return table
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +64,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _ascii_int(text: str) -> int:
+    """An integer option, in ASCII digits only, as in the field and class
+    grammars: int() alone would also read other Unicode digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 # The values --eps accepts, with the sign each stands for.
 _EPS = {"+1": 1, "-1": -1, "1": 1}
 
@@ -72,7 +84,7 @@ _SHARED = {
     "--class": {"dest": "brauer", "default": "1"},
     "--lambda": {"dest": "lam", "default": None},
     "--eps": {"default": "+1", "choices": _EPS},
-    "--p": {"type": int, "required": True},
+    "--p": {"type": _ascii_int, "required": True},
     "--symbol": {"default": None},
     "--sigma": {"choices": ("inti-gamma", "gamma")},
     "--t": {"default": "j"},
@@ -127,12 +139,12 @@ def build_parser() -> _Parser:
     bounds = sub.add_parser("bounds", help="bound formulas")
     bounds_sub = bounds.add_subparsers(dest="what", required=True)
     ai = bounds_sub.add_parser("ai")
-    ai.add_argument("--i", type=int, required=True)
-    ai.add_argument("--d", type=int, default=2)
+    ai.add_argument("--i", type=_ascii_int, required=True)
+    ai.add_argument("--d", type=_ascii_int, default=2)
     ai.add_argument("--kind", default="first", choices=("first", "second"))
     ai.set_defaults(run=_run_bounds_ai)
     tensor = bounds_sub.add_parser("tensor")
-    tensor.add_argument("--n", type=int, required=True)
+    tensor.add_argument("--n", type=_ascii_int, required=True)
     tensor.add_argument("--uk", required=True)
     tensor.set_defaults(run=_run_bounds_tensor)
 
@@ -153,8 +165,8 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="reproduce the published values")
     verify.add_argument("subject", choices=("paper",))
-    verify.add_argument("--p", type=int, default=5)
-    verify.add_argument("--q", type=int, default=9)
+    verify.add_argument("--p", type=_ascii_int, default=5)
+    verify.add_argument("--q", type=_ascii_int, default=9)
     verify.add_argument("--only", default=None,
                         help="run one section: uquad, oracle, local, completion, "
                              "unitary, gff, descent, bounds, sequence, lab")

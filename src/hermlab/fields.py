@@ -70,7 +70,8 @@ def _odd_prime_power(q: int) -> bool:
 
 
 _set = object.__setattr__
-_INTERNED = weakref.WeakValueDictionary()  # (class, *arguments) -> live descriptor
+# (class, *arguments) -> live descriptor; a CDVField is keyed on id(residue).
+_INTERNED = weakref.WeakValueDictionary()
 
 
 class Frozen:
@@ -96,13 +97,23 @@ class Frozen:
 class FieldDesc(Frozen):
     """A tower descriptor: a FiniteField or GlobalFunctionField base under
     zero or more CDVField layers.  Each distinct tower is one live object,
-    so equality is identity and copies are that object.  Height, base, text,
-    the mask of -1's class (``minus_one_bit``: 1, the nonsquare u, iff the
-    finite base's order is 3 mod 4; None over a global-function-field base)
-    and hash are computed once, when it is built; the hash is that of the
-    constructor's arguments, ints at the base, whatever the hash seed."""
+    so equality is identity and copies are that object; so is each square
+    class over it (see SquareClass).  Height, base, text, the mask of -1's
+    class (``minus_one_bit``: 1, the nonsquare u, iff the finite base's
+    order is 3 mod 4; None over a global-function-field base) and hash are
+    computed once, when it is built; the hash is that of the constructor's
+    arguments, ints at the base, whatever the hash seed.
 
-    __slots__ = ("_hash", "height", "base", "text", "minus_one_bit", "__weakref__")
+    The table of a tower's classes and the classes' field slots make a
+    cycle, so a released tower waits for the cycle collector.  A CDVField
+    is therefore interned under id(residue), not the residue itself: a key
+    holding its residue would keep each lower layer reachable until the
+    layer above was collected, one collection per layer.  The id is safe,
+    because the entry lives exactly as long as its CDVField, which holds
+    the residue."""
+
+    __slots__ = ("_hash", "height", "base", "text", "minus_one_bit", "_classes",
+                 "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash
@@ -111,14 +122,17 @@ class FieldDesc(Frozen):
         return self.text
 
 
-def _intern(cls, args: tuple, height: int, base, text: str, minus_one_bit) -> FieldDesc:
-    """A new descriptor of cls, its own slots set from args; base None is itself."""
+def _intern(key: tuple, args: tuple, height: int, base, text: str,
+            minus_one_bit) -> FieldDesc:
+    """A new descriptor of class key[0] under key, its own slots set from
+    args; base None is itself."""
+    cls = key[0]
     k = object.__new__(cls)
     for name, value in (*zip(cls.__slots__, args), ("_hash", hash(args)), ("height", height),
                         ("base", k if base is None else base), ("text", text),
-                        ("minus_one_bit", minus_one_bit)):
+                        ("minus_one_bit", minus_one_bit), ("_classes", {})):
         _set(k, name, value)
-    _INTERNED[(cls, *args)] = k
+    _INTERNED[key] = k
     return k
 
 
@@ -128,13 +142,14 @@ class FiniteField(FieldDesc):
     __slots__ = ("p", "e")
 
     def __new__(cls, p: int, e: int = 1):
-        k = _INTERNED.get((cls, p, e))
+        key = (cls, p, e)
+        k = _INTERNED.get(key)
         if k is None:
             if p == 2 or not _is_prime(p):
                 raise ValueError(f"finite base needs an odd prime, got {p}")
             if e < 1:
                 raise ValueError(f"extension degree must be >= 1, got {e}")
-            k = _intern(cls, (p, e), 0, None, f"F{p}" if e == 1 else f"F{p}^{e}",
+            k = _intern(key, (p, e), 0, None, f"F{p}" if e == 1 else f"F{p}^{e}",
                         pow(p, e, 4) >> 1)
         return k
 
@@ -149,11 +164,12 @@ class GlobalFunctionField(FieldDesc):
     __slots__ = ("q",)
 
     def __new__(cls, q: int):
-        k = _INTERNED.get((cls, q))
+        key = (cls, q)
+        k = _INTERNED.get(key)
         if k is None:
             if not _odd_prime_power(q):
                 raise ValueError(f"constant field size must be an odd prime power, got {q}")
-            k = _intern(cls, (q,), 0, None, f"GFF({q})", None)
+            k = _intern(key, (q,), 0, None, f"GFF({q})", None)
         return k
 
 
@@ -165,9 +181,10 @@ class CDVField(FieldDesc):
     def __new__(cls, residue: FieldDesc):
         if not isinstance(residue, FieldDesc):
             raise ValueError("residue must be a field descriptor")
-        k = _INTERNED.get((cls, residue))
+        key = (cls, id(residue))
+        k = _INTERNED.get(key)
         if k is None:
-            k = _intern(cls, (residue,), residue.height + 1, residue.base,
+            k = _intern(key, (residue,), residue.height + 1, residue.base,
                         f"CDV({residue.text})", residue.minus_one_bit)
         return k
 
@@ -234,23 +251,30 @@ class SquareClass(Frozen):
     Over a global-function-field base ``names`` holds the symbolic unit
     generators and bit 0 stays clear; over a finite base ``names`` is
     empty.  The product is XOR on both parts.
+
+    Classes are interned like towers: the constructor returns the one live
+    object for its value, from a table of the tower's classes filled on
+    first use (at most 2**(h+1) over a finite base), so equality is
+    identity and copies are that object.  The hash, that of
+    (field, data, names), is computed once, when the class is built.
     """
 
-    __slots__ = ("field", "data", "names")
+    __slots__ = ("field", "data", "names", "_hash")
 
-    def __init__(self, field: FieldDesc, data: int, names: frozenset = frozenset()):
-        _set(self, "field", field)
-        _set(self, "data", data)
-        _set(self, "names", names)
-
-    def __eq__(self, other):
-        if other.__class__ is not SquareClass:
-            return NotImplemented
-        return (self.field is other.field and self.data == other.data
-                and self.names == other.names)
+    def __new__(cls, field: FieldDesc, data: int, names: frozenset = frozenset()):
+        key = (data, names) if names else data
+        a = field._classes.get(key)
+        if a is None:
+            a = object.__new__(cls)
+            _set(a, "field", field)
+            _set(a, "data", data)
+            _set(a, "names", names)
+            _set(a, "_hash", hash((field, data, names)))
+            field._classes[key] = a
+        return a
 
     def __hash__(self) -> int:
-        return hash((self.field, self.data, self.names))
+        return self._hash
 
     @property
     def is_one(self) -> bool:

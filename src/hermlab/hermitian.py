@@ -37,13 +37,16 @@ class UKind(str, Enum):
 def morita_reduce(B: BrauerClass):
     """(index, class) of the division algebra behind B; every matrix algebra
     over it has its u-invariants.  The class has no symbol when B splits,
-    one for quaternion index, and B's two effective symbols otherwise."""
+    one for quaternion index, and B's two effective symbols otherwise; it is
+    B itself when those are B's own symbols."""
     kind = bc_is_division(B)
     syms = B.effective_symbols
     if kind is DivisionKind.SPLIT:
         syms = ()
     elif kind is DivisionKind.QUATERNION and len(syms) != 1:
         syms = (bc_single_symbol_rep(B),)
+    if syms == B.symbols:
+        return kind, B
     return kind, BrauerClass(B.field, syms)
 
 

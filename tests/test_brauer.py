@@ -1,5 +1,6 @@
 """Brauer class predicates, ramification data and the case classifier."""
 
+import random
 from collections import Counter
 from itertools import chain, combinations, combinations_with_replacement, islice, product
 
@@ -33,6 +34,7 @@ from hermlab.fields import (
     GlobalFunctionField,
     class_to_str,
     minus_one,
+    one,
     parse_class,
     parse_field,
     quadratic_extension,
@@ -253,6 +255,74 @@ def test_single_symbol_rep_depends_on_height_and_minus_one_only(h, stride):
             assert rep == _first_trivialising_pair(B), str(B)
             reps.setdefault(minus_one(k).data, set()).add(tuple(c.data for c in rep))
         assert all(len(pairs) == 1 for pairs in reps.values()), masks
+
+
+def _ref_single_symbol_table(h, m1):
+    """Reference table: the key of every mask pair, a outer and b inner,
+    each computed on its own; the first pair per key is kept."""
+    table = {}
+    for a in range(2 << h):
+        for b in range(2 << h):
+            table.setdefault(brauer._symbol_key(a, b, h, m1), (a, b))
+    return table
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+@pytest.mark.parametrize("m1", [0, 1])
+def test_single_symbol_table_matches_the_double_loop(h, m1):
+    table, ref = brauer._single_symbol_table(h, m1), _ref_single_symbol_table(h, m1)
+    # same keys, same first pair per key, same order
+    assert list(table.items()) == list(ref.items())
+
+
+def _ref_ramification(B):
+    """Reference ramification data: each slot split by `decompose`, the
+    character built as a product of classes."""
+    res = B.field.residue
+    character, residue_symbols = one(res), []
+    for a, b in B.symbols:
+        (s, i), (t, j) = a.decompose(), b.decompose()
+        if j:
+            character = character * s
+        if i:
+            character = character * t
+        if i and j:
+            character = character * minus_one(res)
+        if not s.is_one and not t.is_one:
+            residue_symbols.append((s, t))
+    return character, BrauerClass(res, tuple(residue_symbols))
+
+
+def _assert_ramification_matches(B):
+    ram = bc_ramification(B)
+    character, residue_class = _ref_ramification(B)
+    assert ram.character is character, str(B)
+    assert ram.residue_class == residue_class, str(B)
+
+
+@pytest.mark.parametrize("base", ["F3", "F5"])
+@pytest.mark.parametrize("h", [1, 2])
+def test_mask_ramification_matches_decompose_on_every_pair(base, h):
+    k = _tower(base, h)
+    symbols = list(product(sqcl_group(k), repeat=2))
+    for sym in symbols:
+        _assert_ramification_matches(BrauerClass(k, (sym,)))
+    for pair in islice(combinations_with_replacement(symbols, 2), 0, None, 7):
+        _assert_ramification_matches(BrauerClass(k, pair))
+
+
+def test_mask_ramification_matches_decompose_with_names():
+    k = parse_field("CDV(CDV(GFF(9)))")
+    rng = random.Random(27)
+
+    def random_class():
+        names = frozenset(n for n in ("v", "w", "x") if rng.random() < 0.4)
+        text = "*".join(sorted(names) + [g for g in ("pi", "t") if rng.random() < 0.5])
+        return parse_class(k, text or "1")
+
+    for _ in range(300):
+        syms = tuple((random_class(), random_class()) for _ in range(rng.randint(1, 3)))
+        _assert_ramification_matches(BrauerClass(k, syms))
 
 
 def test_base_change_by_ramified_map_unramifies():

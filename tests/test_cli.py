@@ -424,6 +424,18 @@ def test_verify_bad_input_is_a_usage_error(capsys, argv, message):
     assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("verify", "paper", "--p", "٥"), "--p", "٥"),
+    (("bounds", "ai", "--i", "٣"), "--i", "٣"),
+    (("bounds", "tensor", "--n", "١", "--uk", "8"), "--n", "١"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, argv, flag, value):
+    # Arabic-Indic digits, which int() alone reads as 5, 3 and 1
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        1, "", f"usage error: argument {flag}: invalid int value: {value!r}\n")
+
+
 def test_verify_json(capsys):
     code, payload, _ = run_json(capsys, "verify", "paper", "--only", "sequence")
     assert code == 0

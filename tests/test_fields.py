@@ -32,6 +32,7 @@ from hermlab.fields import (
     class_of_rational,
     class_to_str,
     height,
+    lift,
     minus_one,
     nonsquare_unit,
     one,
@@ -600,3 +601,59 @@ def test_unreferenced_towers_are_released():
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
     assert height(CDVField(CDVField(FiniteField(1009)))) == 2
+
+
+# A fresh interpreter, so that no memo of another test holds the tower.
+_RELEASE_SCRIPT = """
+import gc, weakref
+from hermlab.fields import CDVField, GlobalFunctionField, parse_class, sqcl_mul
+k = CDVField(GlobalFunctionField(9))
+a = parse_class(k, "v*pi")
+b = parse_class(k.residue, "w*v")
+assert sqcl_mul(k, a, a).is_one and b.names == {"v", "w"}
+refs = [weakref.ref(k), weakref.ref(k.residue)]
+del k, a, b
+gc.collect()
+print([r() is None for r in refs])
+"""
+
+
+def test_a_tower_with_named_classes_is_released_in_one_collection():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RELEASE_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout == "[True, True]\n"
+
+
+def test_equal_classes_are_one_object():
+    a = SquareClass(K2, 5)
+    m = quadratic_extension(K2, parse_class(K2, "u*pi"))  # pi*t -> u*t
+    for x in (SquareClass(K2, 5, frozenset()), sqcl_mul(K2, nonsquare_unit(K2), uniformizer(K2)),
+              parse_class(K2, "u*t"), sqcl_group(K2)[5],
+              lift(K2, SquareClass(K1, 1)) * uniformizer(K2),
+              transport(m, parse_class(K2, "pi*t")), copy.copy(a), copy.deepcopy(a),
+              pickle.loads(pickle.dumps(a))):
+        assert x is a
+    unit, parity = a.decompose()
+    assert unit is SquareClass(K1, 1) is nonsquare_unit(K1) and parity == 1
+    k = CDVField(GlobalFunctionField(9))
+    v = parse_class(k, "v*pi")
+    for x in (SquareClass(k, 2, frozenset({"v"})), parse_class(k, "pi*v"),
+              sqcl_mul(k, parse_class(k, "v"), uniformizer(k)),
+              lift(k, parse_class(k.residue, "v")) * uniformizer(k),
+              copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert x is v
+    assert v.decompose()[0] is parse_class(k.residue, "v")
+    assert SquareClass(k, 2) is uniformizer(k) is not v
+
+
+def test_classes_compare_by_identity_and_hash_their_value():
+    a = SquareClass(K1, 1)
+    assert (a == 1) is False and (a != 1) is True
+    assert SquareClass.__eq__(a, 1) is NotImplemented
+    assert a != SquareClass(F5, 1) and a != SquareClass(K1, 3)
+    v = parse_class(CDVField(GlobalFunctionField(9)), "v*pi")
+    for x in (a, v, parse_class(K2, "u*t"), one(F5)):
+        assert hash(x) == hash((x.field, x.data, x.names))

@@ -57,6 +57,9 @@ def test_morita_reduction():
     assert morita_reduce(split) == (DivisionKind.SPLIT, trivial_class(K1))
     B = parse_brauer(K1, "(u,pi)")
     assert morita_reduce(B) == (DivisionKind.QUATERNION, B)
+    # a class already reduced is returned as it is, not rebuilt
+    for C in (B, trivial_class(K1), parse_brauer(CDVField(K2), "(u,pi);(t,s)")):
+        assert morita_reduce(C)[1] is C
     padded = parse_brauer(K1, "(u,pi);(1,1)")
     assert morita_reduce(padded)[1].symbols == B.symbols
     two = parse_brauer(K1, "(u,pi);(u,u)")
