@@ -23,6 +23,7 @@ from .errors import (
     EngineError,
     FieldMismatchError,
     NotDivisionError,
+    ParseError,
     UnsupportedClassError,
     UnsupportedFieldError,
 )
@@ -90,20 +91,25 @@ def trivial_class(k: FieldDesc) -> BrauerClass:
     return BrauerClass(k, ())
 
 
-def parse_brauer(k: FieldDesc, text: str) -> BrauerClass:
-    """Parse the symbol-list grammar "(u,pi);(v,t)". "1" is the trivial class."""
-    s = text.strip().replace(" ", "")
-    if s in ("", "1"):
-        return trivial_class(k)
+def parse_symbols(text: str, slot) -> list:
+    """The symbol-list grammar "(a,b);(c,d)", each slot read by slot; a
+    malformed list is a ParseError."""
     symbols = []
-    for part in s.split(";"):
+    for part in text.strip().replace(" ", "").split(";"):
         if not (part.startswith("(") and part.endswith(")")):
-            raise UnsupportedClassError(f"malformed symbol {part!r}")
-        inner = part[1:-1].split(",")
-        if len(inner) != 2:
-            raise UnsupportedClassError(f"symbol needs two slots: {part!r}")
-        symbols.append((parse_class(k, inner[0]), parse_class(k, inner[1])))
-    return BrauerClass(k, tuple(symbols))
+            raise ParseError(f"malformed symbol {part!r}")
+        slots = part[1:-1].split(",")
+        if len(slots) != 2:
+            raise ParseError(f"a symbol has two slots: {part!r}")
+        symbols.append((slot(slots[0]), slot(slots[1])))
+    return symbols
+
+
+def parse_brauer(k: FieldDesc, text: str) -> BrauerClass:
+    """A Brauer class as a symbol list "(u,pi);(v,t)". "1" is the trivial class."""
+    if text.strip() in ("", "1"):
+        return trivial_class(k)
+    return BrauerClass(k, parse_symbols(text, lambda x: parse_class(k, x)))
 
 
 @dataclass(frozen=True)

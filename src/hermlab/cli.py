@@ -6,8 +6,8 @@ lab (pid | larmour) and verify paper.  Descriptors use the field grammar
 Brauer classes as symbol lists ((u,pi);(v,t)).  JSON mode always includes
 the full derivation tree; table mode prints the rule chain compactly.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 unsupported shape or missing assertion.
+Exit codes: 0 success, 1 usage error or a closed output pipe,
+2 verification failure, 3 unsupported shape or missing assertion.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .brauer import parse_brauer, trivial_class
+from .brauer import parse_brauer, parse_symbols
 from .errors import (
     HermlabError,
     InvalidExtensionError,
@@ -32,14 +32,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .fields import parse_class, parse_field
-from .hermitian import (
-    HermFormDesc,
-    canonical_involution,
-    reduced_quadratic,
-    herm_is_isotropic,
-    u_search,
-    unitary_involution,
-)
+from .hermitian import HermFormDesc, herm_is_isotropic, reduced_quadratic, u_search
 from .lab import (
     LabAlgebra,
     QuaternionElt,
@@ -76,7 +69,7 @@ def _ascii_int(text: str) -> int:
 
 
 # The values --eps accepts, with the sign each stands for.
-_EPS = {"+1": 1, "-1": -1, "1": 1}
+_EPS = {"+1": 1, "-1": -1}
 
 # Options that several verbs take: flag -> add_argument keywords.
 _SHARED = {
@@ -113,15 +106,11 @@ def build_parser() -> _Parser:
                       help="also run the invariant-based decider (height-one towers)")
     quad.set_defaults(run=_run_isotropy_quad)
     herm = iso_sub.add_parser("herm")
-    _shared(herm, "--field", "--class", "--eps")
-    herm.add_argument("--canonical", action="store_true",
-                      help="canonical involution on a division quaternion")
-    _shared(herm, "--lambda", help="unitary involution over k(sqrt(lambda))")
+    _shared(herm, "--field", "--class", "--eps", "--lambda")
     herm.add_argument("--form", required=True)
     herm.set_defaults(run=_run_isotropy_herm)
 
     usearch = sub.add_parser("usearch", help="u-invariant by exhaustive search")
-    usearch.add_argument("--shape", required=True, choices=("a", "b"))
     _shared(usearch, "--field", "--class", "--lambda", "--eps")
     usearch.set_defaults(run=_run_usearch)
 
@@ -132,7 +121,7 @@ def build_parser() -> _Parser:
     exact.add_argument("--type", required=True, choices=("plus", "minus", "zero"))
     _shared(exact, "--lambda")
     exact.add_argument("--assert-division", dest="assertions", action="append",
-                       default=[], metavar="TOKEN")
+                       default=[], choices=("residue",), metavar="TOKEN")
     exact.add_argument("--witness", action="store_true")
     exact.set_defaults(run=_run_uinv_exact)
 
@@ -231,14 +220,10 @@ def parse_element(alg: LabAlgebra, text: str) -> QuaternionElt:
 def _parse_symbol(p: int, text) -> LabAlgebra:
     if text is None:
         return standard_algebra(p)
-    s = text.strip().replace(" ", "")
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ParseError(f"malformed symbol {text!r}")
-    slots = s[1:-1].split(",")
-    if len(slots) != 2:
-        raise ParseError("a symbol has two slots")
-    a, b = (_fraction(x, text, "symbol") for x in slots)
-    return LabAlgebra(a, b, p)
+    symbols = parse_symbols(text, lambda x: _fraction(x, text, "symbol"))
+    if len(symbols) != 1:
+        raise ParseError(f"lab takes one symbol, got {len(symbols)}")
+    return LabAlgebra(*symbols[0], p)
 
 
 def _lab_setup(args):
@@ -267,23 +252,18 @@ def _run_isotropy_quad(args) -> int:
     return 0
 
 
-def _herm_desc(args):
+def _class_args(args):
+    """(field, Brauer class, lam) from --field, --class and --lambda; lam is
+    None, the first kind, when --lambda is absent."""
     k = parse_field(args.field)
-    algebra = parse_brauer(k, args.brauer)
-    if args.canonical and args.lam:
-        raise ParseError("--canonical and --lambda exclude each other")
-    if args.canonical:
-        inv = canonical_involution()
-    elif args.lam:
-        inv = unitary_involution(parse_class(k, args.lam))
-    else:
-        raise ParseError("pick an involution: --canonical or --lambda CLASS")
-    entries = tuple(parse_class(k, tok) for tok in args.form.split(","))
-    return k, HermFormDesc(algebra, inv, _EPS[args.eps], entries)
+    B = parse_brauer(k, args.brauer)
+    return k, B, parse_class(k, args.lam) if args.lam else None
 
 
 def _run_isotropy_herm(args) -> int:
-    k, h = _herm_desc(args)
+    k, B, lam = _class_args(args)
+    entries = tuple(parse_class(k, tok) for tok in args.form.split(","))
+    h = HermFormDesc(B, lam, _EPS[args.eps], entries)
     isotropic = herm_is_isotropic(h)
     reduced = reduced_quadratic(h) if h.rank else None
     payload = {"field": str(k), "class": str(h.algebra), "shape": h.shape,
@@ -298,27 +278,17 @@ def _run_isotropy_herm(args) -> int:
 
 
 def _run_usearch(args) -> int:
-    k = parse_field(args.field)
+    k, B, lam = _class_args(args)
     eps = _EPS[args.eps]
-    if args.shape == "a":
-        algebra = parse_brauer(k, args.brauer)
-        inv = canonical_involution()
-    else:
-        algebra = trivial_class(k)
-        if not args.lam:
-            raise ParseError("shape b needs --lambda")
-        inv = unitary_involution(parse_class(k, args.lam))
-    value = u_search(algebra, inv, eps)
-    payload = {"field": str(k), "class": str(algebra), "shape": args.shape,
-               "eps": eps, "u": value}
-    _emit(payload, args.json, [f"u = {value} (shape {args.shape} over {k})"])
+    value = u_search(B, lam, eps)
+    shape = HermFormDesc(B, lam, eps, ()).shape
+    payload = {"field": str(k), "class": str(B), "shape": shape, "eps": eps, "u": value}
+    _emit(payload, args.json, [f"u = {value} (shape {shape} over {k})"])
     return 0
 
 
 def _run_uinv_exact(args) -> int:
-    k = parse_field(args.field)
-    B = parse_brauer(k, args.brauer)
-    lam = parse_class(k, args.lam) if args.lam else None
+    k, B, lam = _class_args(args)
     assertions = frozenset(args.assertions)
     value, derivation = u_exact(B, args.type, lam, assertions)
     payload = {"field": str(k), "class": str(B), "kind": args.type,

@@ -68,15 +68,7 @@ from .fields import (
     transport,
     uniformizer,
 )
-from .hermitian import (
-    HermFormDesc,
-    UKind,
-    canonical_involution,
-    herm_is_isotropic,
-    morita_reduce,
-    u_search,
-    unitary_involution,
-)
+from .hermitian import HermFormDesc, UKind, herm_is_isotropic, morita_reduce, u_search
 from .lab import (LARMOUR_SWEEP_FORMS, basis_j, choose_pid, choose_sigma,
                   gamma_involution, larmour_mismatches, standard_algebra)
 from .quadform import (ORACLE_SWEEP_FORMS, QuadForm, oracle_disagreements,
@@ -266,24 +258,27 @@ def _assert_leaf(field_label: str, class_label: str, assertions) -> Derivation:
                 _CITES["assert:division"])
 
 
+def _field_minus_leaf(field_label: str, class_label: str) -> WitnessNode:
+    """The minus value of a field, over any base: 0, with the empty witness."""
+    return WitnessNode(leaf("base:field-minus", field_label, class_label, UKind.MINUS.value,
+                            0, _CITES["base:field-minus"]), "empty", 0, entries=())
+
+
 def _gff_leaf(field_label: str, index: DivisionKind, kind: UKind,
               class_label: str, assertions, note: str = None) -> WitnessNode:
     """Tabulated value over a global-function-field base; the witness is
     the tabulated rank."""
     if index is DivisionKind.SPLIT and kind is UKind.MINUS:
-        d = leaf("base:field-minus", field_label, class_label, kind.value, 0,
-                 _CITES["base:field-minus"])
-    else:
-        if index is DivisionKind.BIQUATERNION:
-            raise UnsupportedClassError(
-                "a biquaternion over a global-function-field base cannot be "
-                "division: six variables over a u=4 base always vanish")
-        value = _GFF_BASE[(index, kind)]
-        children = ()
-        if index is not DivisionKind.SPLIT:
-            children = (_assert_leaf(field_label, class_label, assertions),)
-        d = Derivation("base:gff", field_label, class_label, kind.value, value,
-                       _CITES["base:gff"], children, "leaf", note)
+        return _field_minus_leaf(field_label, class_label)
+    if index is DivisionKind.BIQUATERNION:
+        raise UnsupportedClassError(
+            "a biquaternion over a global-function-field base cannot be "
+            "division: six variables over a u=4 base always vanish")
+    children = ()
+    if index is not DivisionKind.SPLIT:
+        children = (_assert_leaf(field_label, class_label, assertions),)
+    d = Derivation("base:gff", field_label, class_label, kind.value,
+                   _GFF_BASE[(index, kind)], _CITES["base:gff"], children, "leaf", note)
     return WitnessNode(d, "axiom", d.value, note="tabulated base value")
 
 
@@ -339,8 +334,7 @@ def _first_kind(B: BrauerClass, kind: UKind, assertions) -> WitnessNode:
     index, Bn = _category(B)
     fl, cl = k.text, str(Bn)
     if index is DivisionKind.SPLIT and kind is UKind.MINUS:
-        return WitnessNode(leaf("base:field-minus", fl, cl, kind.value, 0,
-                                _CITES["base:field-minus"]), "empty", 0, entries=())
+        return _field_minus_leaf(fl, cl)
     if isinstance(k, FiniteField):
         # the norm form of the quadratic extension: <1, -nonsquare>
         return _finite_leaf(fl, cl, (index, Bn), kind,
@@ -700,15 +694,14 @@ def expected_table(p: int = 5, q: int = 9):
                    lambda: _with_children(u_exact(B1, UKind.MINUS)),
                    "residue recursion"),
         TableEntry("local", "quaternion minus, height 1, search", 1,
-                   lambda: u_search(B1, canonical_involution(), 1),
+                   lambda: u_search(B1, None, 1),
                    "exhaustive search"),
         TableEntry("local", "unitary over the quadratic extension", 2,
                    lambda: u_exact(trivial_class(k1), UKind.ZERO,
                                    nonsquare_unit(k1)).value,
                    "residue recursion"),
         TableEntry("local", "unitary over the quadratic extension, search", 2,
-                   lambda: u_search(trivial_class(k1),
-                                    unitary_involution(nonsquare_unit(k1)), 1),
+                   lambda: u_search(trivial_class(k1), nonsquare_unit(k1), 1),
                    "exhaustive search"),
 
         TableEntry("completion", "unramified quaternion plus", (6, (3,)),
@@ -724,10 +717,10 @@ def expected_table(p: int = 5, q: int = 9):
                    lambda: _with_children(u_exact(B2r, UKind.MINUS)),
                    "residue recursion, ramified sum"),
         TableEntry("completion", "quaternion minus, search (unramified)", 2,
-                   lambda: u_search(B2u, canonical_involution(), 1),
+                   lambda: u_search(B2u, None, 1),
                    "exhaustive search"),
         TableEntry("completion", "quaternion minus, search (ramified)", 2,
-                   lambda: u_search(B2r, canonical_involution(), 1),
+                   lambda: u_search(B2r, None, 1),
                    "exhaustive search"),
 
         TableEntry("unitary", "field extension, height 2, unramified", 4,

@@ -98,8 +98,8 @@ def test_exhaustive_searches_refuse_towers_above_the_class_bound(capsys, layers)
     field = "CDV(" * layers + "F5" + ")" * layers
     refusal = (f"exhaustive search covers towers of at most 16 square classes; "
                f"a height-{layers} tower has {2 << layers}")
-    for shape in (("a", "--class", "(u,pi)"), ("b", "--lambda", "u")):
-        argv = ("usearch", "--shape", *shape, "--field", field)
+    for involution in (("--class", "(u,pi)"), ("--lambda", "u")):
+        argv = ("usearch", *involution, "--field", field)
         assert run_within(5, capsys, *argv) == (1, "", f"usage error: {refusal}\n")
     with time_limit(5, "u_quadratic"), pytest.raises(ValueError) as err:
         u_quadratic(parse_field(field))
@@ -141,36 +141,48 @@ def test_isotropy_quad_json_golden(capsys, name):
 def test_herm_json_payload(capsys):
     code, payload, _ = run_json(
         capsys, "isotropy", "herm", "--field", "CDV(F5)", "--class", "(u,pi)",
-        "--eps", "+1", "--canonical", "--form", "1,pi")
+        "--eps", "+1", "--form", "1,pi")
     assert code == 0
     assert payload["shape"] == "a"
     assert payload["isotropic"] is True
     assert payload["reduced_quadratic"].startswith("<")
 
 
-def test_herm_requires_an_involution(capsys):
-    code, _, err = run(capsys, "isotropy", "herm", "--field", "CDV(F5)",
-                       "--class", "(u,pi)", "--form", "1")
-    assert code == 1 and "involution" in err
+def test_herm_without_lambda_takes_the_canonical_involution(capsys):
+    # the class of isotropy_herm_a, with no involution option
+    code, payload, _ = run_json(capsys, "isotropy", "herm", "--field", "CDV(F5)",
+                                "--class", "(u,pi)", "--form", "1")
+    assert code == 0 and payload["shape"] == "a" and payload["isotropic"] is False
+    code, payload, _ = run_json(capsys, "isotropy", "herm", "--field", "CDV(F5)",
+                                "--lambda", "u", "--form", "1")
+    assert code == 0 and payload["shape"] == "b"
 
 
 def test_usearch(capsys):
-    code, payload, _ = run_json(capsys, "usearch", "--shape", "a",
+    code, payload, _ = run_json(capsys, "usearch",
                                 "--field", "CDV(F5)", "--class", "(u,pi)")
     assert code == 0 and payload["u"] == 1
-    code, payload, _ = run_json(capsys, "usearch", "--shape", "b",
+    code, payload, _ = run_json(capsys, "usearch",
                                 "--field", "CDV(F5)", "--lambda", "u")
     assert code == 0 and payload["u"] == 2
 
 
 def test_usearch_shape_a_reduces_a_two_symbol_class(capsys):
     # (u,u);(u,pi) is the class of (u,pi): u = 1, and <1> is anisotropic
-    code, payload, _ = run_json(capsys, "usearch", "--shape", "a", "--field",
+    code, payload, _ = run_json(capsys, "usearch", "--field",
                                 "CDV(F5)", "--class", "(u,u);(u,pi)")
     assert code == 0 and payload["u"] == 1
     code, payload, _ = run_json(capsys, "isotropy", "herm", "--field", "CDV(F5)",
-                                "--class", "(u,u);(u,pi)", "--canonical", "--form", "1")
+                                "--class", "(u,u);(u,pi)", "--form", "1")
     assert code == 0 and payload["isotropic"] is False
+
+
+def test_usearch_refuses_an_unsupported_class_and_lambda_like_isotropy_herm(capsys):
+    # a division class with a unitary involution has no concrete decider
+    options = ("--field", "CDV(F5)", "--class", "(u,pi)", "--lambda", "u")
+    refusal = "unsupported: no concrete decider for this form shape\n"
+    assert run(capsys, "usearch", *options) == (3, "", refusal)
+    assert run(capsys, "isotropy", "herm", *options, "--form", "1") == (3, "", refusal)
 
 
 def test_uinv_exact_json_includes_derivation(capsys):
@@ -233,7 +245,7 @@ def test_uinv_not_division_exit_code(capsys):
 
 
 def test_unsupported_shape_exit_code(capsys):
-    code, _, err = run(capsys, "usearch", "--shape", "a", "--field", "CDV(F5)",
+    code, _, err = run(capsys, "usearch", "--field", "CDV(F5)",
                        "--class", "(u,pi)", "--eps", "-1")
     assert code == 3
 
@@ -263,6 +275,39 @@ def test_lab_commands(capsys):
 def test_lab_symbol_needs_two_slots(capsys):
     code, _, err = run(capsys, "lab", "pid", "--p", "5", "--symbol", "(1,2,3)")
     assert code == 1 and "a symbol has two slots" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("uinv", "exact", "--field", "CDV(F5)", "--class", "(u,pi", "--type", "plus"),
+    ("isotropy", "herm", "--field", "CDV(F5)", "--class", "(u,pi", "--form", "1"),
+    ("usearch", "--field", "CDV(F5)", "--class", "u,pi)"),
+    ("lab", "pid", "--p", "5", "--symbol", "(2,5"),
+])
+def test_a_malformed_symbol_list_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("usage error: malformed symbol ")
+
+
+def test_symbol_lists_have_one_reader(capsys):
+    code, _, err = run(capsys, "uinv", "exact", "--field", "CDV(F5)",
+                       "--class", "(u,pi,t)", "--type", "plus")
+    assert code == 1 and "a symbol has two slots" in err
+    code, _, err = run(capsys, "lab", "pid", "--p", "5", "--symbol", "(2,5);(2,5)")
+    assert code == 1 and "lab takes one symbol, got 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("isotropy", "herm", "--field", "CDV(F5)", "--class", "(u,pi)", "--eps", "1",
+     "--form", "1"),
+    ("usearch", "--field", "CDV(F5)", "--class", "(u,pi)", "--eps", "1"),
+    ("uinv", "exact", "--field", "CDV(F5)", "--class", "(u,pi)", "--type", "plus",
+     "--assert-division", "foo"),
+    ("uinv", "exact", "--field", "CDV(GFF(9))", "--class", "(a,b);(v,pi)", "--type", "plus",
+     "--assert-division", "residu"),
+])
+def test_option_values_the_engine_never_reads_are_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and "invalid choice" in err
 
 
 @contextmanager
@@ -565,12 +610,11 @@ CLI_GOLDEN = {
                                 "--class (u,pi);(t,u*pi) --type minus --witness",
     "uinv_gff_ab_vpi_plus": "uinv exact --field CDV(GFF(9)) --class (a,b);(v,pi) "
                             "--type plus --assert-division residue",
-    "isotropy_herm_a": "isotropy herm --field CDV(F5) --class (u,pi) --canonical "
-                       "--form 1,pi",
+    "isotropy_herm_a": "isotropy herm --field CDV(F5) --class (u,pi) --form 1,pi",
     "isotropy_herm_b": "isotropy herm --field CDV(CDV(F3)) --lambda u*t --eps -1 "
                        "--form 1,pi,t",
-    "usearch_a": "usearch --shape a --field CDV(F3) --class (u,pi)",
-    "usearch_b": "usearch --shape b --field CDV(F3) --lambda pi",
+    "usearch_a": "usearch --field CDV(F3) --class (u,pi)",
+    "usearch_b": "usearch --field CDV(F3) --lambda pi",
 }
 
 
@@ -650,10 +694,9 @@ ARGV = st.one_of(
           FORMS.map(lambda f: ["--form", f]), _flag("--oracle"), _flag("--json")),
     _argv(st.just(["isotropy", "herm", "--field"]), FIELDS.map(lambda f: [f]),
           _opt("--class", BRAUER), _opt("--eps", st.sampled_from(["+1", "-1", "1", "2"])),
-          st.just(["--canonical"]) | CLASSES.map(lambda c: ["--lambda", c])
-          | _argv(_flag("--canonical"), _opt("--lambda", CLASSES)),
+          _opt("--lambda", CLASSES),
           FORMS.map(lambda f: ["--form", f]), _flag("--json")),
-    _argv(st.just(["usearch", "--shape"]), st.sampled_from([["a"], ["b"], ["c"]]),
+    _argv(st.just(["usearch"]),
           FIELDS.map(lambda f: ["--field", f]), _opt("--class", BRAUER),
           _opt("--lambda", CLASSES), _opt("--eps", st.sampled_from(["+1", "-1"])),
           _flag("--json")),
