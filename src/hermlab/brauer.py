@@ -15,7 +15,6 @@ representation-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -39,6 +38,7 @@ from .fields import (
     minus_one,
     parse_class,
     quadratic_extension,
+    record,
     transport,
 )
 from .quadform import albert_form, norm_form, qf_is_isotropic
@@ -46,9 +46,10 @@ from .quadform import albert_form, norm_form, qf_is_isotropic
 
 class BrauerClass(Frozen):
     """The sum of symbols, pairs (a, b) of square classes over field (none:
-    the trivial class).  The walk memo keys on it, so it hashes once."""
+    the trivial class).  The walk memo keys on it, so it hashes once, and
+    derivation labels print it, so it builds its text once."""
 
-    __slots__ = ("field", "symbols", "_hash", "_effective")
+    __slots__ = ("field", "symbols", "_hash", "_effective", "_text")
 
     def __init__(self, field: FieldDesc, symbols):
         # stored as tuples, so that a class built from lists still hashes
@@ -60,6 +61,7 @@ class BrauerClass(Frozen):
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_effective", None)
+        object.__setattr__(self, "_text", None)
 
     def __eq__(self, other):
         if other.__class__ is not BrauerClass:
@@ -81,10 +83,10 @@ class BrauerClass(Frozen):
         return self._effective
 
     def __str__(self) -> str:
-        if not self.symbols:
-            return "1"
-        return ";".join(f"({class_to_str(a)},{class_to_str(b)})"
-                        for a, b in self.symbols)
+        if self._text is None:
+            object.__setattr__(self, "_text", ";".join(
+                f"({class_to_str(a)},{class_to_str(b)})" for a, b in self.symbols) or "1")
+        return self._text
 
 
 def trivial_class(k: FieldDesc) -> BrauerClass:
@@ -112,7 +114,7 @@ def parse_brauer(k: FieldDesc, text: str) -> BrauerClass:
     return BrauerClass(k, parse_symbols(text, lambda x: parse_class(k, x)))
 
 
-@dataclass(frozen=True)
+@record
 class RamificationData:
     character: SquareClass       # residue class; trivial = unramified
     residue_class: BrauerClass   # unramified part, over the residue field
@@ -274,7 +276,7 @@ class UnitaryCase(Enum):
         return f"Case{self.value}"
 
 
-@dataclass(frozen=True)
+@record
 class UnitaryCaseResult:
     """The case, B's character over the base, the unramified residue class
     the case recurses on, the unit part of the extension class, and whether

@@ -10,11 +10,12 @@ and are transparent to the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .fields import record
 
-@dataclass(frozen=True)
+
+@record
 class Derivation:
     rule: str
     field_label: str

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -92,6 +92,38 @@ class Frozen:
     def __repr__(self) -> str:
         args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
         return f"{type(self).__name__}({args})"
+
+
+class _Record(tuple):
+    """Base of the classes that `record` builds."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    __setattr__ = __delattr__ = Frozen.__setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
+def record(cls):
+    """The immutable value record of cls's annotated fields, in order, a
+    class attribute of a field's name giving its default: a namedtuple
+    subclass with cls's methods, equal only to a record of its own class,
+    hashed by value and repr'd as ``Name(field=value, ...)``.  A class
+    whose constructor checks its arguments defines ``__new__`` and builds
+    with ``tuple.__new__(cls, fields)``; ``__slots__ = ("__dict__",)`` keeps
+    an instance dict, for cached properties."""
+    attrs = vars(cls)
+    names = tuple(cls.__annotations__)
+    base = namedtuple(cls.__name__, names, defaults=[attrs[n] for n in names if n in attrs])
+    ns = {k: v for k, v in attrs.items()
+          if k not in names and k not in ("__dict__", "__weakref__")}
+    if ns.pop("__slots__", ()) != ("__dict__",):
+        ns["__slots__"] = ()
+    return type(cls.__name__, (base, _Record), ns)
 
 
 class FieldDesc(Frozen):
@@ -256,10 +288,11 @@ class SquareClass(Frozen):
     object for its value, from a table of the tower's classes filled on
     first use (at most 2**(h+1) over a finite base), so equality is
     identity and copies are that object.  The hash, that of
-    (field, data, names), is computed once, when the class is built.
+    (field, data, names), is computed once, when the class is built, and
+    the text on the first `class_to_str`.
     """
 
-    __slots__ = ("field", "data", "names", "_hash")
+    __slots__ = ("field", "data", "names", "_hash", "_text")
 
     def __new__(cls, field: FieldDesc, data: int, names: frozenset = frozenset()):
         key = (data, names) if names else data
@@ -270,6 +303,7 @@ class SquareClass(Frozen):
             _set(a, "data", data)
             _set(a, "names", names)
             _set(a, "_hash", hash((field, data, names)))
+            _set(a, "_text", None)
             field._classes[key] = a
         return a
 
@@ -398,10 +432,15 @@ def class_of_rational(k: FieldDesc, x) -> SquareClass:
 # serialization
 
 def class_to_str(a: SquareClass) -> str:
-    """Generators innermost first: symbolic names sorted, then u, pi, t, ..."""
-    gens = sorted(a.names) + [uniformizer_name(d) if d else "u"
-                              for d in range(a.data.bit_length()) if a.data >> d & 1]
-    return "*".join(gens) if gens else "1"
+    """Generators innermost first: symbolic names sorted, then u, pi, t, ...
+    Built on a class's first call and kept: a class is one object per value."""
+    text = a._text
+    if text is None:
+        gens = sorted(a.names) + [uniformizer_name(d) if d else "u"
+                                  for d in range(a.data.bit_length()) if a.data >> d & 1]
+        text = "*".join(gens) if gens else "1"
+        _set(a, "_text", text)
+    return text
 
 
 _NAME_ALIASES = {"p": "pi", "nu": "u"}
@@ -440,7 +479,7 @@ def _parse_generator(k: FieldDesc, token: str) -> SquareClass:
 # ---------------------------------------------------------------------------
 # quadratic extensions and transport maps
 
-@dataclass(frozen=True)
+@record
 class TransitionMap:
     """Group homomorphism from the square classes of source to those of
     target, for the extension source(sqrt(lam)).

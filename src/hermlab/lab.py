@@ -21,7 +21,6 @@ integers, and ``coords`` turns them back into Fractions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -32,37 +31,40 @@ from .fields import (
     FiniteField,
     SquareClass,
     class_of_rational,
+    record,
     smallest_nonresidue,
     split_valuation,
 )
 from .quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle
 
 
-@dataclass(frozen=True)
+@record
 class LabAlgebra:
     """Quaternion presentation (a, b) over the p-adic rationals."""
 
+    __slots__ = ("__dict__",)  # for the cleared slots, the hash and norm_classes
     a: Fraction
     b: Fraction
     p: int
 
-    def __post_init__(self):
-        FiniteField(self.p)  # an odd prime within the size bound, so the split ends
-        if self.a == 0 or (split := split_valuation(self.a, self.p))[0] != 0:
-            raise ValueError(f"slot a = {self.a} of the symbol is not a "
-                             f"{self.p}-adic unit")
+    def __new__(cls, a: Fraction, b: Fraction, p: int):
+        FiniteField(p)  # an odd prime within the size bound, so the split ends
+        if a == 0 or (split := split_valuation(a, p))[0] != 0:
+            raise ValueError(f"slot a = {a} of the symbol is not a {p}-adic unit")
+        self = tuple.__new__(cls, (a, b, p))
         _, num, den = split  # a = num/den, both prime to p
         # The slots with their denominators cleared once: a = A/da, b = B/db
         # and D = da*db, so D times a product or a norm is an integer form in
         # the numerators.
-        a, b = Fraction(self.a), Fraction(self.b)
+        a, b = Fraction(a), Fraction(b)
         da, db = a.denominator, b.denominator
         object.__setattr__(self, "_cleared", (da * db, a.numerator * db,
                                               b.numerator * da, a.numerator * b.numerator))
         # Read per decomposition and per memo lookup: the residue of a, and
         # the hash, so that no lookup goes through Fraction.__hash__.
-        object.__setattr__(self, "_a_residue", num * pow(den, -1, self.p) % self.p)
-        object.__setattr__(self, "_hash", hash((self.a, self.b, self.p)))
+        object.__setattr__(self, "_a_residue", num * pow(den, -1, p) % p)
+        object.__setattr__(self, "_hash", tuple.__hash__(self))
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -89,7 +91,7 @@ def standard_algebra(p: int) -> LabAlgebra:
     return LabAlgebra(Fraction(smallest_nonresidue(p)), Fraction(p), p)
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@record
 class QuaternionElt:
     """x0 + x1*i + x2*j + x3*ij with exact rational coordinates.
 
@@ -102,16 +104,17 @@ class QuaternionElt:
     nums: tuple  # four ints
     den: int
 
-    def __init__(self, alg: LabAlgebra, coords):
+    def __new__(cls, alg: LabAlgebra, coords):
         if len(coords) != 4:
             raise ValueError("four coordinates required")
         coords = [Fraction(c) for c in coords]
         # over the lcm of reduced denominators no prime divides every slot
         den = lcm(*(c.denominator for c in coords))
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator)
-                                               for c in coords))
-        object.__setattr__(self, "den", den)
+        return tuple.__new__(cls, (alg, tuple(c.numerator * (den // c.denominator)
+                                              for c in coords), den))
+
+    def __reduce__(self):
+        return _lattice, (self.alg, *self.nums, self.den)
 
     @property
     def coords(self) -> tuple:
@@ -201,11 +204,7 @@ def _lattice(alg: LabAlgebra, x0: int, x1: int, x2: int, x3: int, den: int) -> Q
     g = gcd(x0, x1, x2, x3, den)
     if g != 1:
         x0, x1, x2, x3, den = x0 // g, x1 // g, x2 // g, x3 // g, den // g
-    x = object.__new__(QuaternionElt)
-    object.__setattr__(x, "alg", alg)
-    object.__setattr__(x, "nums", (x0, x1, x2, x3))
-    object.__setattr__(x, "den", den)
-    return x
+    return tuple.__new__(QuaternionElt, (alg, (x0, x1, x2, x3), den))
 
 
 def scalar(alg: LabAlgebra, c) -> QuaternionElt:
@@ -261,7 +260,7 @@ def residue_elt(x: QuaternionElt, allow_positive: bool = False):
 # ---------------------------------------------------------------------------
 # involutions and parameters
 
-@dataclass(frozen=True)
+@record
 class Involution:
     """Either the canonical involution or its twist by conjugation with i."""
 
@@ -301,7 +300,7 @@ def choose_sigma(alg: LabAlgebra) -> Involution:
     return sigma
 
 
-@dataclass(frozen=True)
+@record
 class PidResult:
     pid: QuaternionElt
     eps_prime: int
@@ -356,7 +355,7 @@ def choose_pid(alg: LabAlgebra, sigma: Involution, t: QuaternionElt) -> PidResul
 # ---------------------------------------------------------------------------
 # concrete residue decomposition
 
-@dataclass(frozen=True)
+@record
 class ResidueForm:
     """Diagonal form over the residue quadratic extension."""
 
@@ -387,7 +386,7 @@ class ResidueForm:
         return pow(n, (self.p - 1) // 2, self.p) != self.p - 1
 
 
-@dataclass(frozen=True)
+@record
 class LarmourResult:
     h1: ResidueForm
     h2: ResidueForm

@@ -13,7 +13,6 @@ compared form by form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EngineError, FieldMismatchError, UnsupportedFieldError
@@ -26,6 +25,7 @@ from .fields import (
     is_finite_based,
     minus_one,
     one,
+    record,
     smallest_nonresidue,
     split_valuation,
     sqcl_group,
@@ -33,18 +33,18 @@ from .fields import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class QuadForm:
     """Diagonal form with square-class entries; entries are never zero."""
 
     field: FieldDesc
     entries: tuple
 
-    def __post_init__(self):
-        k = self.field
-        for a in self.entries:
-            if a.field is not k:
+    def __new__(cls, field: FieldDesc, entries: tuple):
+        for a in entries:
+            if a.field is not field:
                 raise FieldMismatchError("form entry over the wrong field")
+        return tuple.__new__(cls, (field, entries))
 
     def __str__(self) -> str:
         return "<" + ",".join(class_to_str(a) for a in self.entries) + ">"

@@ -27,7 +27,6 @@ matching bound and completion value into an exact answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -65,6 +64,7 @@ from .fields import (
     nonsquare_unit,
     one,
     quadratic_extension,
+    record,
     transport,
     uniformizer,
 )
@@ -105,17 +105,15 @@ _CITES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class UResult:
+    """A u-value with its derivation; unpacks to (value, derivation)."""
+
     value: int
     derivation: Derivation
 
-    def __iter__(self):
-        yield self.value
-        yield self.derivation
 
-
-@dataclass(frozen=True)
+@record
 class WitnessNode:
     """One step of the residue walk: the derivation of its value and the
     witness part built beside it.  `entries` are the concrete diagonal
@@ -149,7 +147,7 @@ class WitnessNode:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     rank: int
     node: WitnessNode
@@ -447,7 +445,7 @@ def bounds_ai(i: int, d: int, kind: str = "first"):
     raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ABCSequence:
     """Exact coefficient triple a, b, c at index n, with
     a = 4/5 + (1/5)(9/4)^n, b = -1/5 + (1/5)(9/4)^n, c = 1/5 + (3/10)(9/4)^n."""
@@ -523,7 +521,7 @@ def sequence_identity_failures() -> list:
 MAX_TENSOR_FACTORS = 1000
 
 
-@dataclass(frozen=True)
+@record
 class TensorBounds:
     n: int
     u_base: Fraction
@@ -597,7 +595,7 @@ def tensor_comparison_bound(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # descent to exact values
 
-@dataclass(frozen=True)
+@record
 class DescentResult:
     values: object
     derivations: tuple
@@ -641,7 +639,7 @@ def semi_global_combine(shape: str, upper, lower) -> DescentResult:
 # ---------------------------------------------------------------------------
 # the fixed table of published values
 
-@dataclass(frozen=True)
+@record
 class TableEntry:
     section: str
     instance: str

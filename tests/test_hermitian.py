@@ -290,6 +290,21 @@ def test_isotropy_on_masks_matches_the_reduced_quadratic_form(k):
     assert {(s, True, v) for s in "ab" for v in (False, True)} <= verdicts
 
 
+@pytest.mark.parametrize("k", [CDVField(FiniteField(p)) for p in (3, 5)] + HEIGHT_TWO, ids=str)
+def test_shape_b_decides_both_signs_alike(k):
+    # Under a unitary involution an eps = -1 form is sqrt(lam) times an
+    # eps = +1 form, so the descriptor's classes c_i are read the same way.
+    classes = sqcl_group(k)
+    for lam in classes[1:]:
+        for rank in range(4):
+            for entries in combinations_with_replacement(classes, rank):
+                plus, minus = (HermFormDesc(trivial_class(k), lam, eps, entries)
+                               for eps in (1, -1))
+                assert plus.shape == minus.shape == "b"
+                assert herm_is_isotropic(plus) == herm_is_isotropic(minus), str(minus)
+        assert u_search(trivial_class(k), lam, 1) == u_search(trivial_class(k), lam, -1)
+
+
 @pytest.mark.parametrize("q", [7, 9])
 def test_isotropy_refusals_over_a_gff_base_keep_their_order(q):
     k = CDVField(GlobalFunctionField(q))
