@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import EngineError, FieldMismatchError, UnsupportedFieldError
 from .fields import (
@@ -82,8 +83,11 @@ def _masks_isotropic(masks, m1: int) -> bool:
     return False
 
 
+_mask = attrgetter("data")
+
+
 def qf_is_isotropic(q: QuadForm) -> bool:
-    return _masks_isotropic([a.data for a in q.entries], _minus_one_bit(q.field))
+    return _masks_isotropic(map(_mask, q.entries), _minus_one_bit(q.field))
 
 
 def qf_isotropy_path(q: QuadForm):
