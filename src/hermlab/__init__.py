@@ -58,6 +58,7 @@ from .brauer import (
     bc_ramification,
     bc_single_symbol_rep,
     classify_unitary_case,
+    morita_reduce,
     parse_brauer,
     trivial_class,
 )
@@ -67,7 +68,6 @@ from .hermitian import (
     canonical_involution,
     herm_is_isotropic,
     jacobson_quadratic,
-    morita_reduce,
     transfer_quadratic,
     u_search,
     unitary_involution,

@@ -197,21 +197,22 @@ def bc_supported_symbols(B: BrauerClass) -> tuple:
     return syms
 
 
+def _index_form(syms):
+    """The form whose isotropy decides the index of the sum of syms: the
+    norm form of one symbol, the Albert form of two, none otherwise."""
+    return (norm_form(*syms[0]) if len(syms) == 1 else
+            albert_form(*syms) if len(syms) == 2 else None)
+
+
 def bc_is_division(B: BrauerClass) -> DivisionKind:
-    """Index of a class with at most two symbols, by norm and Albert forms."""
+    """Index of a class with at most two symbols, by its index form."""
     if not is_finite_based(B.field):
         raise UnsupportedFieldError("division testing needs a finite-based tower; "
                                     "supply an assertion instead")
     syms = bc_supported_symbols(B)
-    if not syms:
-        return DivisionKind.SPLIT
-    if len(syms) == 1:
-        if qf_is_isotropic(norm_form(*syms[0])):
-            return DivisionKind.SPLIT
-        return DivisionKind.QUATERNION
-    if not qf_is_isotropic(albert_form(*syms)):
-        return DivisionKind.BIQUATERNION
-    return DivisionKind.SPLIT if bc_is_trivial(B) else DivisionKind.QUATERNION
+    if syms and not qf_is_isotropic(_index_form(syms)):
+        return DivisionKind.QUATERNION if len(syms) == 1 else DivisionKind.BIQUATERNION
+    return DivisionKind.SPLIT if len(syms) < 2 or bc_is_trivial(B) else DivisionKind.QUATERNION
 
 
 # Most square classes of a tower whose single-symbol table is built.  The
@@ -254,6 +255,22 @@ def bc_single_symbol_rep(B: BrauerClass):
         raise UnsupportedClassError("single-symbol representatives exist for "
                                     "classes of index at most two only")
     return SquareClass(k, pair[0]), SquareClass(k, pair[1])
+
+
+def morita_reduce(B: BrauerClass):
+    """(index, class) of the division algebra behind B; every matrix algebra
+    over it has its u-invariants.  The class has no symbol when B splits,
+    one for quaternion index, and B's two effective symbols otherwise; it is
+    B itself when those are B's own symbols."""
+    kind = bc_is_division(B)
+    syms = B.effective_symbols
+    if kind is DivisionKind.SPLIT:
+        syms = ()
+    elif kind is DivisionKind.QUATERNION and len(syms) != 1:
+        syms = (bc_single_symbol_rep(B),)
+    if syms == B.symbols:
+        return kind, B
+    return kind, BrauerClass(B.field, syms)
 
 
 def bc_base_change(B: BrauerClass, m: TransitionMap) -> BrauerClass:
@@ -299,12 +316,12 @@ def classify_unitary_case(B: BrauerClass, lam: SquareClass, index: DivisionKind,
     Over a finite-based tower, B must stay division over k(sqrt(lam)); with
     morita set, a class that splits there may also reduce to its center,
     and is then classified as the trivial class.  Any other change of index
-    raises `NotDivisionError` with the isotropic norm or Albert form of the
-    extended class as its witness.  A split class needs no test: the
-    extension itself is the algebra.  Case 3 reads its residue class from
-    the same base change; a ramified extension reuses the residue field, so
-    that base change is computable even when the residue classes are
-    symbolic.  A ramified extension never leaves a ramified algebra behind:
+    raises `NotDivisionError` with its witness, the isotropic index form of
+    B's effective symbols over the extension.  A split class needs no test:
+    the extension itself is the algebra.  Case 3 reads its residue class
+    from the same base change; a ramified extension reuses the residue
+    field, so that base change is computable even when the residue classes
+    are symbolic.  A ramified extension never leaves a ramified algebra behind:
     that combination is checked to be absent rather than assumed.
     """
     k = B.field
@@ -313,13 +330,13 @@ def classify_unitary_case(B: BrauerClass, lam: SquareClass, index: DivisionKind,
     check_extension_class(k, lam)
     B_K, reduced = None, False
     if index is not DivisionKind.SPLIT and is_finite_based(k):
-        B_K = bc_base_change(B, quadratic_extension(k, lam))
+        m = quadratic_extension(k, lam)
+        B_K = bc_base_change(B, m)
         after = bc_is_division(B_K)
         if after is not index:
             if not (morita and after is DivisionKind.SPLIT):
-                syms = B_K.symbols
-                witness = (norm_form(*syms[0]) if len(syms) == 1 else
-                           albert_form(*syms) if len(syms) == 2 else None)
+                witness = _index_form(tuple((transport(m, a), transport(m, b))
+                                            for a, b in B.effective_symbols))
                 raise NotDivisionError(
                     f"the algebra does not stay division over the extension "
                     f"({index.value} became {after.value})", witness)

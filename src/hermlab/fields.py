@@ -95,11 +95,13 @@ class Frozen:
 
 
 class _Record(tuple):
-    """Base of the classes that `record` builds."""
+    """Base of the classes that `record` builds: values, not sequences, so
+    tuple `+` and `*` are refused."""
 
     __slots__ = ()
     __hash__ = tuple.__hash__
     __setattr__ = __delattr__ = Frozen.__setattr__
+    __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)

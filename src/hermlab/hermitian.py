@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 
-from .brauer import BrauerClass, DivisionKind, bc_is_division, bc_single_symbol_rep
+from .brauer import BrauerClass, DivisionKind, morita_reduce
 from .errors import FieldMismatchError, UnsupportedShapeError
 from .fields import SquareClass, check_extension_class, minus_one, one, record, sqcl_mul
 from .quadform import (QuadForm, _masks_isotropic, _minus_one_bit, max_anisotropic_rank,
@@ -31,22 +31,6 @@ class UKind(str, Enum):
     PLUS = "plus"
     MINUS = "minus"
     ZERO = "zero"
-
-
-def morita_reduce(B: BrauerClass):
-    """(index, class) of the division algebra behind B; every matrix algebra
-    over it has its u-invariants.  The class has no symbol when B splits,
-    one for quaternion index, and B's two effective symbols otherwise; it is
-    B itself when those are B's own symbols."""
-    kind = bc_is_division(B)
-    syms = B.effective_symbols
-    if kind is DivisionKind.SPLIT:
-        syms = ()
-    elif kind is DivisionKind.QUATERNION and len(syms) != 1:
-        syms = (bc_single_symbol_rep(B),)
-    if syms == B.symbols:
-        return kind, B
-    return kind, BrauerClass(B.field, syms)
 
 
 @record

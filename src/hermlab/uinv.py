@@ -38,6 +38,7 @@ from .brauer import (
     bc_ramification,
     bc_supported_symbols,
     classify_unitary_case,
+    morita_reduce,
     parse_brauer,
     trivial_class,
 )
@@ -68,7 +69,7 @@ from .fields import (
     transport,
     uniformizer,
 )
-from .hermitian import HermFormDesc, UKind, herm_is_isotropic, morita_reduce, u_search
+from .hermitian import HermFormDesc, UKind, herm_is_isotropic, u_search
 from .lab import (LARMOUR_SWEEP_FORMS, basis_j, choose_pid, choose_sigma,
                   gamma_involution, larmour_mismatches, standard_algebra)
 from .quadform import (ORACLE_SWEEP_FORMS, QuadForm, oracle_disagreements,
@@ -193,19 +194,14 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
 
 
 def _verify_flat(category, kind: UKind, lam, entries) -> bool:
+    """Whether entries are anisotropic over category's division class: as a
+    quadratic form for a split class of the first kind, else as the hermitian
+    form of that class, kind and lam, False when its shape has no decider."""
     index, Bn = category
-    k = Bn.field
-    if kind is UKind.ZERO:
-        if index is not DivisionKind.SPLIT:
-            return False
-        h = HermFormDesc(trivial_class(k), lam, 1, entries)
-        return not herm_is_isotropic(h)
-    if index is DivisionKind.SPLIT:
-        return not qf_is_isotropic(QuadForm(k, entries))
-    if index is DivisionKind.QUATERNION and kind is UKind.MINUS:
-        h = HermFormDesc(Bn, None, 1, entries)
-        return not herm_is_isotropic(h)
-    return False
+    if index is DivisionKind.SPLIT and kind is not UKind.ZERO:
+        return not qf_is_isotropic(QuadForm(Bn.field, entries))
+    h = HermFormDesc(Bn, lam, -1 if kind is UKind.PLUS else 1, entries)
+    return h.template is not None and not herm_is_isotropic(h)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from hermlab.fields import (
     quadratic_extension,
     sqcl_group,
 )
-from hermlab.quadform import norm_form, qf_is_isotropic
+from hermlab.quadform import QuadForm, norm_form, qf_is_isotropic
 from hermlab.uinv import u_exact
 
 F5 = FiniteField(5)
@@ -419,6 +419,20 @@ def test_extended_index_splits_only_with_morita():
     assert str(err.value) == ("the algebra does not stay division over the "
                               "extension (quaternion became split)")
     assert qf_is_isotropic(err.value.witness)
+
+
+def test_lost_index_witness_reads_the_effective_symbols():
+    """A split symbol written into the class leaves the witness as it is:
+    the isotropic index form over the extension of the symbols that count."""
+    k = parse_field("CDV(CDV(F5))")
+    witnesses = []
+    for text in ("(u,t);(1,pi);(pi,t)", "(u,t);(pi,t)"):
+        with pytest.raises(NotDivisionError) as err:
+            classify_unitary_case(parse_brauer(k, text), parse_class(k, "t"),
+                                  DivisionKind.QUATERNION, False)
+        witnesses.append(err.value.witness)
+    assert isinstance(witnesses[0], QuadForm) and qf_is_isotropic(witnesses[0])
+    assert witnesses[0] == witnesses[1]
 
 
 def test_extended_index_refuses_a_lost_biquaternion():

@@ -11,6 +11,7 @@ from hermlab.brauer import (
     DivisionKind,
     bc_is_division,
     bc_single_symbol_rep,
+    morita_reduce,
     parse_brauer,
     trivial_class,
 )
@@ -30,7 +31,6 @@ from hermlab.hermitian import (
     canonical_involution,
     herm_is_isotropic,
     jacobson_quadratic,
-    morita_reduce,
     reduced_quadratic,
     transfer_quadratic,
     u_search,

@@ -19,7 +19,7 @@ from hermlab.errors import FieldMismatchError, InvalidExtensionError
 from hermlab.fields import CDVField, FiniteField, TransitionMap, one, parse_class
 from hermlab.hermitian import HermFormDesc
 from hermlab.lab import (Involution, LabAlgebra, LarmourResult, PidResult, QuaternionElt,
-                         ResidueForm)
+                         ResidueForm, scalar)
 from hermlab.quadform import QuadForm
 from hermlab.uinv import (ABCSequence, DescentResult, TableEntry, TensorBounds, UResult, Witness,
                           WitnessNode, u_exact)
@@ -129,6 +129,21 @@ def test_records_are_immutable_values_of_their_own_class(r):
     if type(r) is not TableEntry:  # its int compute pickles; a lambda would not
         for y in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
             assert y == r and type(y) is type(r)
+
+
+@pytest.mark.parametrize("r", [r for r, _ in RECORDS if type(r) is not QuaternionElt],
+                         ids=lambda x: type(x).__name__)
+def test_records_refuse_tuple_arithmetic(r):
+    for operation in (lambda: 2 * r, lambda: r * 2, lambda: r + (1,), lambda: r + r):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_quaternions_keep_their_own_arithmetic_only():
+    with pytest.raises(TypeError):
+        2 * X
+    three = scalar(ALG, 3)
+    assert X + three - three == X and X * three == X.scale(3)
 
 
 def test_records_of_two_classes_with_equal_fields_differ():

@@ -34,6 +34,7 @@ from hermlab.fields import (
     GlobalFunctionField,
     SquareClass,
     class_to_str,
+    one,
     parse_class,
     parse_field,
     quadratic_extension,
@@ -747,9 +748,12 @@ def _rewritings(B, lam, rng):
     """(relation, class, lam) for each rewriting of B that names the same
     algebra: symbol order, slots swapped, the bilinear split (a, b) =
     (a, b1) + (a, b*b1) of a one-symbol class (Lam, Introduction to
-    Quadratic Forms over Fields, 2005, ch. III), and the uniformizer change
-    at every layer."""
+    Quadratic Forms over Fields, 2005, ch. III), a split symbol (1, c) or
+    (c, 1) appended, and the uniformizer change at every layer."""
     k, syms = B.field, B.symbols
+    c = syms[0][1]  # not drawn from rng, so the seeded classes stay the same
+    yield "trivial first slot", BrauerClass(k, syms + ((one(k), c),)), lam
+    yield "trivial second slot", BrauerClass(k, syms + ((c, one(k)),)), lam
     if len(syms) > 1:
         yield "order", BrauerClass(k, syms[::-1]), lam
     yield "swap", BrauerClass(k, tuple((b, a) for a, b in syms)), lam
@@ -787,5 +791,5 @@ def test_rewriting_the_class_keeps_the_outcome(p, h):
                 got = _outcome(B2, kind, lam2)
                 if got != expected:
                     differences.append((relation, str(B), kind, lam, expected, got))
-    assert compared >= 75 * (h + 1)
+    assert compared >= 75 * (h + 4)
     assert differences == []
