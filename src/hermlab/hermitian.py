@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 
-from .brauer import BrauerClass, DivisionKind, morita_reduce
+from .brauer import BrauerClass, DivisionKind, bc_is_trivial, morita_reduce
 from .errors import FieldMismatchError, UnsupportedShapeError
 from .fields import SquareClass, check_extension_class, minus_one, one, record, sqcl_mul
 from .quadform import (QuadForm, _masks_isotropic, _minus_one_bit, max_anisotropic_rank,
@@ -69,13 +69,14 @@ class HermFormDesc:
     def template(self):
         """The form each entry is tensored with, decided once per descriptor:
         the norm form of the Morita representative's one symbol (shape a),
-        <1, -lam> (shape b), or None for an unsupported shape."""
+        <1, -lam> when the algebra is trivial, however written (shape b), or
+        None for an unsupported shape."""
         lam = self.lam
         if lam is None and self.eps == 1:
             kind, division = morita_reduce(self.algebra)
             if kind is DivisionKind.QUATERNION:
                 return norm_form(*division.symbols[0]).entries
-        elif lam is not None and not self.algebra.effective_symbols:
+        elif lam is not None and bc_is_trivial(self.algebra):
             k = self.algebra.field
             return (one(k), minus_one(k) * lam)
         return None

@@ -125,13 +125,15 @@ class QuaternionElt:
         return not any(self.nums)
 
     def __add__(self, other):
-        self._check(other)
+        if self._foreign(other):
+            return NotImplemented
         d, e = self.den, other.den
         return _lattice(self.alg, *(x * e + y * d for x, y in zip(self.nums, other.nums)),
                         d * e)
 
     def __sub__(self, other):
-        self._check(other)
+        if self._foreign(other):
+            return NotImplemented
         d, e = self.den, other.den
         return _lattice(self.alg, *(x * e - y * d for x, y in zip(self.nums, other.nums)),
                         d * e)
@@ -141,7 +143,8 @@ class QuaternionElt:
         return _lattice(self.alg, -x0, -x1, -x2, -x3, self.den)
 
     def __mul__(self, other):
-        self._check(other)
+        if self._foreign(other):
+            return NotImplemented
         d, ad, bd, ab = self.alg._cleared
         x0, x1, x2, x3 = self.nums
         y0, y1, y2, y3 = other.nums
@@ -189,9 +192,14 @@ class QuaternionElt:
         # divides some coordinate's denominator
         return self.den % self.alg.p != 0
 
-    def _check(self, other):
+    def _foreign(self, other) -> bool:
+        """Whether other is not a quaternion, which the operators answer with
+        NotImplemented; an element of another algebra is refused."""
+        if not isinstance(other, QuaternionElt):
+            return True
         if other.alg is not self.alg and other.alg != self.alg:
             raise ValueError("mixed quaternion algebras")
+        return False
 
     def __str__(self):
         names = ("", "i", "j", "ij")

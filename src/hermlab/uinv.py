@@ -196,7 +196,10 @@ def witness(B: BrauerClass, k: FieldDesc, kind, lam: SquareClass = None,
 def _verify_flat(category, kind: UKind, lam, entries) -> bool:
     """Whether entries are anisotropic over category's division class: as a
     quadratic form for a split class of the first kind, else as the hermitian
-    form of that class, kind and lam, False when its shape has no decider."""
+    form of that class, kind and lam, False when its shape has no decider.
+    The empty form is anisotropic over any base."""
+    if not entries:
+        return True
     index, Bn = category
     if index is DivisionKind.SPLIT and kind is not UKind.ZERO:
         return not qf_is_isotropic(QuadForm(Bn.field, entries))
@@ -220,15 +223,15 @@ MAX_WITNESS_RANK = 512
 
 
 def _walk(B: BrauerClass, kind: UKind, lam, assertions) -> WitnessNode:
-    """The walk from the top class, after checking the extension class."""
+    """The walk from the top class, after checking the extension class.  A
+    first-kind step takes morita as every internal step does: one memo key."""
     if kind is UKind.ZERO:
         if lam is None:
             raise InvalidExtensionError("unitary values need the extension class")
         check_extension_class(B.field, lam)
     elif lam is not None:
         raise InvalidExtensionError("first-kind values take no extension class")
-    return (_unitary(B, lam, assertions) if kind is UKind.ZERO
-            else _first_kind(B, kind, assertions))
+    return _step(B, kind, lam, assertions, kind is not UKind.ZERO)
 
 
 @lru_cache(maxsize=_STEP_MEMO)
@@ -252,40 +255,36 @@ def _assert_leaf(field_label: str, class_label: str, assertions) -> Derivation:
                 _CITES["assert:division"])
 
 
-def _field_minus_leaf(field_label: str, class_label: str) -> WitnessNode:
-    """The minus value of a field, over any base: 0, with the empty witness."""
-    return WitnessNode(leaf("base:field-minus", field_label, class_label, UKind.MINUS.value,
-                            0, _CITES["base:field-minus"]), "empty", 0, entries=())
-
-
-def _gff_leaf(field_label: str, index: DivisionKind, kind: UKind,
-              class_label: str, assertions, note: str = None) -> WitnessNode:
-    """Tabulated value over a global-function-field base; the witness is
-    the tabulated rank."""
+def _base_leaf(k: FieldDesc, fl: str, cl: str, category, kind: UKind, lam,
+               assertions, note: str = None) -> WitnessNode:
+    """Where the walk ends, or None on a valued layer: a split minus value is
+    0 over any field, with the empty witness; a finite field gives its base
+    value, its witness the norm form <1, -nonsquare> (`quad`) or <1> over
+    k(sqrt(lam)) (`unitary`), checked by `_verify_flat`; a global-function-
+    field base gives the axiom table, its witness the tabulated rank."""
+    index = category[0]
     if index is DivisionKind.SPLIT and kind is UKind.MINUS:
-        return _field_minus_leaf(field_label, class_label)
+        return WitnessNode(leaf("base:field-minus", fl, cl, kind.value, 0,
+                                _CITES["base:field-minus"]), "empty", 0, entries=())
+    if isinstance(k, FiniteField):
+        entries = (one(k),) if lam is not None else (one(k), minus_one(k) * nonsquare_unit(k))
+        return WitnessNode(leaf("base:finite", fl, cl, kind.value, _FINITE_BASE[kind],
+                                _CITES["base:finite"], note),
+                           "quad" if lam is None else "unitary", len(entries),
+                           entries=entries, lam=lam,
+                           ok=_verify_flat(category, kind, lam, entries))
+    if not isinstance(k, GlobalFunctionField):
+        return None
     if index is DivisionKind.BIQUATERNION:
         raise UnsupportedClassError(
             "a biquaternion over a global-function-field base cannot be "
             "division: six variables over a u=4 base always vanish")
     children = ()
     if index is not DivisionKind.SPLIT:
-        children = (_assert_leaf(field_label, class_label, assertions),)
-    d = Derivation("base:gff", field_label, class_label, kind.value,
-                   _GFF_BASE[(index, kind)], _CITES["base:gff"], children, "leaf", note)
+        children = (_assert_leaf(fl, cl, assertions),)
+    d = Derivation("base:gff", fl, cl, kind.value, _GFF_BASE[(index, kind)],
+                   _CITES["base:gff"], children, "leaf", note)
     return WitnessNode(d, "axiom", d.value, note="tabulated base value")
-
-
-def _finite_leaf(fl: str, cl: str, category, kind: UKind, entries,
-                 lam: SquareClass = None, note: str = None) -> WitnessNode:
-    """Base value over a finite field; the witness is entries, a `quad`
-    node for the first kind or a `unitary` node over k(sqrt(lam)), checked
-    anisotropic by `_verify_flat`."""
-    return WitnessNode(leaf("base:finite", fl, cl, kind.value, _FINITE_BASE[kind],
-                            _CITES["base:finite"], note),
-                       "quad" if lam is None else "unitary", len(entries),
-                       entries=entries, lam=lam,
-                       ok=_verify_flat(category, kind, lam, entries))
 
 
 def _double(rule: str, k: CDVField, class_label: str, kind: UKind,
@@ -323,25 +322,25 @@ def _sum(rule: str, k: CDVField, class_label: str, kind: UKind,
 
 
 @lru_cache(maxsize=_STEP_MEMO)
-def _first_kind(B: BrauerClass, kind: UKind, assertions) -> WitnessNode:
+def _step(B: BrauerClass, kind: UKind, lam, assertions, morita: bool) -> WitnessNode:
+    """The walk's one step, for every kind; lam and morita are the unitary
+    kind's (`_unitary`).  A first-kind class over a valued layer doubles its
+    residue value, or, ramified, takes the sum over its character."""
     k = B.field
-    index, Bn = _category(B)
-    fl, cl = k.text, str(Bn)
-    if index is DivisionKind.SPLIT and kind is UKind.MINUS:
-        return _field_minus_leaf(fl, cl)
-    if isinstance(k, FiniteField):
-        # the norm form of the quadratic extension: <1, -nonsquare>
-        return _finite_leaf(fl, cl, (index, Bn), kind,
-                            (one(k), minus_one(k) * nonsquare_unit(k)))
-    if isinstance(k, GlobalFunctionField):
-        return _gff_leaf(fl, index, kind, cl, assertions)
-
-    ram = bc_ramification(Bn)
+    category = _category(B)
+    fl, cl = k.text, str(category[1])
+    note = None if lam is None else f"extension by {class_to_str(lam)}"
+    node = _base_leaf(k, fl, cl, category, kind, lam, assertions, note)
+    if node is not None:
+        return node
+    if kind is UKind.ZERO:
+        return _unitary(k, category, cl, lam, assertions, morita, note)
+    ram = bc_ramification(category[1])
     if ram.character.is_one:
         return _double("unramified-double", k, cl, kind,
-                       _first_kind(ram.residue_class, kind, assertions))
+                       _step(ram.residue_class, kind, None, assertions, True))
     return _sum("ramified-sum", k, cl, kind,
-                _unitary(ram.residue_class, ram.character, assertions, morita=True),
+                _step(ram.residue_class, UKind.ZERO, ram.character, assertions, True),
                 _over_extension(k.residue, ram.residue_class, ram.character,
                                 kind, assertions),
                 "unit part; parameter-twisted part over the extension")
@@ -349,22 +348,20 @@ def _first_kind(B: BrauerClass, kind: UKind, assertions) -> WitnessNode:
 
 def _over_extension(res: FieldDesc, R0: BrauerClass, c: SquareClass,
                     kind: UKind, assertions, lam: SquareClass = None) -> WitnessNode:
-    """Value of the residue class R0 over res(sqrt(c)): of the first kind,
-    or, for the unitary kind, with the extension class lam carried over."""
+    """The step of the residue class R0 over res(sqrt(c)), of either kind,
+    with the unitary kind's extension class lam carried over."""
     if isinstance(res, GlobalFunctionField):
-        return _gff_leaf(f"GFF({res.q})[sqrt({class_to_str(c)})]",
-                         _category(R0)[0], kind, str(R0), assertions)
+        return _base_leaf(res, f"GFF({res.q})[sqrt({class_to_str(c)})]", str(R0),
+                          _category(R0), kind, lam, assertions)
     ext_map = quadratic_extension(res, c)
-    R = bc_base_change(R0, ext_map)
-    if kind is UKind.ZERO:
-        return _unitary(R, transport(ext_map, lam), assertions, morita=True)
-    return _first_kind(R, kind, assertions)
+    return _step(bc_base_change(R0, ext_map), kind,
+                 None if lam is None else transport(ext_map, lam), assertions, True)
 
 
-@lru_cache(maxsize=_STEP_MEMO)
-def _unitary(B: BrauerClass, lam: SquareClass, assertions,
-             morita: bool = False) -> WitnessNode:
-    """Unitary value of the algebra presented by (class, extension class).
+def _unitary(k: CDVField, category, cl: str, lam: SquareClass, assertions,
+             morita: bool, ext_note: str) -> WitnessNode:
+    """Unitary step over a valued layer for the algebra presented by
+    (class, extension class).
 
     With morita set (internal residue-algebra presentations), a class that
     splits over the extension is reduced to its center first; without it
@@ -372,18 +369,10 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     the top lam; every lam below (a ramified character, lam's unit part in
     case 1, its transport in case 2) is nontrivial by the case analysis.
     """
-    k = B.field
-    index, Bn = _category(B)
-    fl, cl = k.text, str(Bn)
-    ext_note = f"extension by {class_to_str(lam)}"
-    if isinstance(k, FiniteField):
-        return _finite_leaf(fl, cl, (index, Bn), UKind.ZERO, (one(k),), lam, ext_note)
-    if isinstance(k, GlobalFunctionField):
-        return _gff_leaf(fl, index, UKind.ZERO, cl, assertions, ext_note)
-
+    index, Bn = category
     assert_children = ()
     if not is_finite_based(k) and index is not DivisionKind.SPLIT:
-        assert_children = (_assert_leaf(fl, cl, assertions),)
+        assert_children = (_assert_leaf(k.text, cl, assertions),)
     case = classify_unitary_case(Bn, lam, index, morita)
     case_note = f"{case.case}; {ext_note}"
     if case.reduced:
@@ -393,7 +382,7 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
 
     if case.case is UnitaryCase.CASE1:
         return _double("unitary-unramified-double", k, cl, UKind.ZERO,
-                       _unitary(res_class, case.lam_residue, assertions, morita=True),
+                       _step(res_class, UKind.ZERO, case.lam_residue, assertions, True),
                        assert_children, case_note)
 
     if case.case is UnitaryCase.CASE2:
@@ -406,8 +395,8 @@ def _unitary(B: BrauerClass, lam: SquareClass, assertions,
     # ramified extension: the extended class is unramified, its residue
     # contributes a plus and a minus value
     return _sum("unitary-ramified-base", k, cl, UKind.ZERO,
-                _first_kind(res_class, UKind.PLUS, assertions),
-                _first_kind(res_class, UKind.MINUS, assertions),
+                _step(res_class, UKind.PLUS, None, assertions, True),
+                _step(res_class, UKind.MINUS, None, assertions, True),
                 "plus part; parameter-twisted minus part",
                 assert_children, case_note)
 

@@ -1,6 +1,7 @@
 """Hermitian descriptors, reductions and exhaustive searches."""
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, islice, permutations, product
 
 import pytest
@@ -15,7 +16,8 @@ from hermlab.brauer import (
     parse_brauer,
     trivial_class,
 )
-from hermlab.errors import InvalidExtensionError, UnsupportedFieldError, UnsupportedShapeError
+from hermlab.errors import (HermlabError, InvalidExtensionError, UnsupportedFieldError,
+                            UnsupportedShapeError)
 from hermlab.fields import (
     CDVField,
     FiniteField,
@@ -330,3 +332,70 @@ def test_isotropy_refusals_over_a_gff_base_keep_their_order(q):
 def test_hermitian_keeps_the_quadratic_decider_bound():
     # the benchmark's tracer test asserts that hermitian binds this name
     assert hermlab.hermitian.qf_is_isotropic is qf_is_isotropic
+
+
+# metamorphic relations: the same algebra written another way ------------------
+
+def _descriptor_outcome(B, lam, eps, forms):
+    """What may depend only on the algebra, not on how it is written: the
+    shape, the isotropy of each form and the searched value, each of them or
+    the type of its refusal."""
+    def attempt(f):
+        try:
+            return f()
+        except HermlabError as exc:
+            return type(exc).__name__
+    return (attempt(lambda: HermFormDesc(B, lam, eps, ()).shape),
+            tuple(attempt(lambda e=e: herm_is_isotropic(HermFormDesc(B, lam, eps, e)))
+                  for e in forms),
+            attempt(lambda: u_search(B, lam, eps)))
+
+
+def _descriptor_rewritings(B, c):
+    """(relation, class) for each rewriting of B that names the same algebra:
+    symbol order, slots swapped, a symbol with a trivial slot, and the split
+    symbol (c, -c) (Lam, Introduction to Quadratic Forms over Fields, 2005,
+    ch. III) while B keeps at most two effective symbols with it."""
+    k, syms = B.field, B.symbols
+    if len(syms) > 1:
+        yield "order", BrauerClass(k, syms[::-1])
+    yield "swap", BrauerClass(k, tuple((b, a) for a, b in syms))
+    yield "trivial first slot", BrauerClass(k, syms + ((one(k), c),))
+    yield "trivial second slot", BrauerClass(k, syms + ((c, one(k)),))
+    if len(B.effective_symbols) < 2:
+        yield "split symbol", BrauerClass(k, syms + ((c, minus_one(k) * c),))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("h", [1, 2])
+def test_rewriting_the_class_keeps_the_descriptor_outcome(p, h):
+    """The trivial class and 12 seeded classes of one or two symbols, under
+    the canonical involution and one seeded unitary one, with both signs:
+    every rewriting keeps the shape, the isotropy of six seeded forms and
+    the value of the search."""
+    rng = random.Random(f"descriptor-metamorphic:{p}:{h}")
+    k = parse_field(f"F{p}")
+    for _ in range(h):
+        k = CDVField(k)
+    classes = sqcl_group(k)
+    sample = [trivial_class(k)] + [
+        BrauerClass(k, tuple((rng.choice(classes), rng.choice(classes))
+                             for _ in range(rng.choice((1, 2)))))
+        for _ in range(12)]
+    differences, compared, shapes = [], 0, Counter()
+    for B in sample:
+        c = rng.choice(classes[1:])
+        forms = [tuple(rng.choice(classes) for _ in range(rng.randint(1, 3)))
+                 for _ in range(6)]
+        for lam in (None, rng.choice(classes[1:])):
+            for eps in (1, -1):
+                expected = _descriptor_outcome(B, lam, eps, forms)
+                shapes[expected[0]] += 1
+                for relation, B2 in _descriptor_rewritings(B, c):
+                    compared += 1
+                    got = _descriptor_outcome(B2, lam, eps, forms)
+                    if got != expected:
+                        differences.append((relation, str(B), str(B2), lam, eps,
+                                            expected, got))
+    assert shapes["a"] and shapes["b"] and compared >= 4 * 13 * 4
+    assert differences == []

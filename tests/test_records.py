@@ -146,6 +146,18 @@ def test_quaternions_keep_their_own_arithmetic_only():
     assert X + three - three == X and X * three == X.scale(3)
 
 
+def test_quaternion_operators_answer_other_operands_with_type_error():
+    """+, - and * take two elements of one algebra; any other operand is
+    NotImplemented, which Python turns into TypeError."""
+    for operation in (lambda: X * 2, lambda: X + (1,), lambda: X - 1,
+                      lambda: X * Fraction(1, 2), lambda: 1 - X):
+        with pytest.raises(TypeError):
+            operation()
+    other = QuaternionElt(LabAlgebra(Fraction(3), Fraction(5), 5), (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="mixed quaternion algebras"):
+        X + other
+
+
 def test_records_of_two_classes_with_equal_fields_differ():
     assert UResult(2, D) != DescentResult(2, D) and not UResult(2, D) == DescentResult(2, D)
 

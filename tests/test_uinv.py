@@ -266,6 +266,20 @@ def test_derivation_audit_and_json_shape():
     assert len(payload["children"]) == 2
 
 
+def test_audit_rejects_a_wrong_inner_node_and_an_unknown_combinator():
+    """audit() is False for a tree whose inner node does not follow from its
+    children, however right the root's own arithmetic, and for a node whose
+    combinator it does not know."""
+    d = u_exact(parse_brauer(K2, "(u,t)"), "plus").derivation
+    unit_part = d.children[0]
+    assert unit_part.combine != "leaf" and d.audit()
+    wrong = unit_part._replace(value=unit_part.value + 1)
+    tree = d._replace(children=(wrong, d.children[1]), value=d.value + 1)
+    assert tree.value == sum(c.value for c in tree.numeric_children())
+    assert not tree.audit()
+    assert not d._replace(combine="mean").audit()
+
+
 def test_recursion_agrees_with_search():
     assert u_exact(parse_brauer(K1, "(u,pi)"), "minus").value == \
         u_search(parse_brauer(K1, "(u,pi)"), canonical_involution(), 1)
@@ -316,6 +330,41 @@ def test_witness_rank_always_matches_value():
         w = witness(B, k, kind, lam, asserts)
         assert w.rank == u_exact(B, kind, lam, asserts).value
         assert w.verified
+
+
+def _some_classes(k):
+    """Every class of a finite-based k; over a global-function-field base,
+    each uniformizer parity times each product of the units a and b."""
+    if isinstance(k.base, FiniteField):
+        return sqcl_group(k)
+    return [SquareClass(k, m, frozenset(names)) for m in range(0, 2 << k.height, 2)
+            for names in ((), ("a",), ("b",), ("a", "b"))]
+
+
+def test_every_value_up_to_the_witness_bound_has_a_witness():
+    """Wherever u_exact gives a value of at most MAX_WITNESS_RANK, witness
+    succeeds with that rank, over a global-function-field base too, where a
+    split class's minus witness is the empty form."""
+    rng = random.Random("witness for every value")
+    empty_over_gff = 0
+    for text in ("F5", "CDV(F3)", "CDV(CDV(F5))", "GFF(9)", "CDV(GFF(9))",
+                 "CDV(CDV(GFF(27)))"):
+        k = parse_field(text)
+        classes = _some_classes(k)
+        for kind in ("plus", "minus", "zero"):
+            for _ in range(30):
+                B = BrauerClass(k, tuple((rng.choice(classes), rng.choice(classes))
+                                         for _ in range(rng.choice((0, 1, 2)))))
+                lam = rng.choice(classes[1:]) if kind == "zero" else None
+                try:
+                    value = u_exact(B, kind, lam, RESIDUE).value
+                except HermlabError:
+                    continue
+                if value <= uinv.MAX_WITNESS_RANK:
+                    w = witness(B, k, kind, lam, RESIDUE)
+                    assert w.rank == value, (text, str(B), kind, lam)
+                    empty_over_gff += w.rank == 0 and isinstance(k.base, GlobalFunctionField)
+    assert empty_over_gff
 
 
 def test_witness_flattens_ramified_minus():
@@ -640,7 +689,7 @@ def test_shape_b_search_matches_recursion_at_height_three():
 # the per-process memo of the residue walk -------------------------------------
 
 def _clear_walk_memos():
-    for step in (uinv._category, uinv._first_kind, uinv._unitary):
+    for step in (uinv._category, uinv._step):
         step.cache_clear()
 
 
