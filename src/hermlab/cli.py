@@ -36,6 +36,9 @@ from .hermitian import HermFormDesc, herm_is_isotropic, reduced_quadratic, u_sea
 from .lab import (
     LabAlgebra,
     QuaternionElt,
+    basis_i,
+    basis_ij,
+    basis_j,
     choose_pid,
     choose_sigma,
     gamma_involution,
@@ -183,16 +186,19 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 # ---------------------------------------------------------------------------
 # lab element grammar
 
-_BASIS = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0),
-          "ij": (0, 0, 0, 1), "k": (0, 0, 0, 1)}
+# Longest name first: "ij" before "i" and "j".
+_BASIS = {"ij": basis_ij, "k": basis_ij, "i": basis_i, "j": basis_j}
 
 
 def _fraction(token: str, text: str, what: str) -> Fraction:
-    """The rational number in token, or a ParseError naming text."""
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"cannot parse {what} {text!r}") from None
+    """The rational n or n/d in ASCII digits in token, or a ParseError naming
+    text: Fraction() alone also reads Unicode digits, "_", decimals and exponents."""
+    if re.fullmatch(r"[+-]?[0-9]+(?:/[0-9]+)?", token):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):  # more digits than int() converts, or n/0
+            pass
+    raise ParseError(f"cannot parse {what} {text!r}")
 
 
 def parse_element(alg: LabAlgebra, text: str) -> QuaternionElt:
@@ -203,7 +209,7 @@ def parse_element(alg: LabAlgebra, text: str) -> QuaternionElt:
             raise ParseError("coordinate form needs four entries")
         return QuaternionElt(alg, tuple(_fraction(x, text, "element") for x in parts))
     body = s
-    for name in ("ij", "k", "i", "j"):
+    for name, basis in _BASIS.items():
         if body.endswith(name):
             head = body[:-len(name)].rstrip("*")
             if head in ("", "+"):
@@ -212,8 +218,7 @@ def parse_element(alg: LabAlgebra, text: str) -> QuaternionElt:
                 coeff = Fraction(-1)
             else:
                 coeff = _fraction(head, text, "element")
-            base = _BASIS["ij" if name == "k" else name]
-            return QuaternionElt(alg, tuple(coeff * x for x in base))
+            return basis(alg).scale(coeff)
     return scalar(alg, _fraction(body, text, "element"))
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 import weakref
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import (
     EngineError,
@@ -379,11 +378,19 @@ def minus_one(k: FieldDesc) -> SquareClass:
     return SquareClass(k, k.minus_one_bit)
 
 
+def legendre(a: int, p: int) -> int:
+    """The Legendre symbol (a/p) by Euler's criterion, p an odd prime not dividing a."""
+    a %= p
+    if a == 0:
+        raise ValueError("legendre symbol of a multiple of p")
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
 def smallest_nonresidue(p: int) -> int:
     """Least positive quadratic nonresidue mod an odd prime; callers check
     the prime against the field bound first and memoise per prime."""
     for n in range(2, p):
-        if pow(n, (p - 1) // 2, p) == p - 1:
+        if legendre(n, p) < 0:
             return n
     raise EngineError(f"no nonresidue found mod {p}")  # pragma: no cover
 
@@ -404,14 +411,18 @@ def split_valuation(x, p: int):
     return v, num, den
 
 
+def valuation_unit(x, p: int):
+    """(v, unit mod p) with x = p**v * unit, x a nonzero int or Fraction."""
+    v, num, den = split_valuation(x, p)
+    return v, num * pow(den, p - 2, p) % p
+
+
 def class_of_rational(k: FieldDesc, x) -> SquareClass:
-    """Square class of a nonzero rational inside a tower whose base is F_p.
+    """Square class of a nonzero int or Fraction inside a tower over F_p.
 
     Rationals sit inside every valued layer as units with respect to the
     outer uniformizers; only the innermost layer sees the p-valuation.
     """
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
     if x == 0:
         raise ValueError("zero has no square class")
     base = k.base
@@ -420,14 +431,10 @@ def class_of_rational(k: FieldDesc, x) -> SquareClass:
     if base.e != 1:
         raise UnsupportedFieldError("rational classes need a prime base field")
     p = base.p
-    v, num, den = 0, x.numerator, x.denominator
-    if isinstance(k, CDVField):
-        v, num, den = split_valuation(x, p)
-    num, den = num % p, den % p
-    if num == 0 or den == 0:
+    v, r = valuation_unit(x, p)
+    if v and not isinstance(k, CDVField):
         raise ValueError(f"{x} is not a unit mod {p}")
-    r = num * pow(den, p - 2, p) % p
-    return SquareClass(k, (pow(r, (p - 1) // 2, p) != 1) | (v & 1) << 1)
+    return SquareClass(k, (legendre(r, p) < 0) | (v & 1) << 1)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +479,14 @@ def _parse_generator(k: FieldDesc, token: str) -> SquareClass:
     if token == "u" and finite:
         return SquareClass(k, 1)
     if re.fullmatch(r"-?[0-9]+", token):
-        return class_of_rational(k, int(token))
+        try:
+            n = int(token)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"an integer generator of {len(token)} digits is too long") from None
+        try:
+            return class_of_rational(k, n)
+        except ValueError as exc:  # zero, or a multiple of p over F_p
+            raise ParseError(str(exc)) from None
     if not finite and re.fullmatch(r"[A-Za-z]\w*", token):
         return SquareClass(k, 0, frozenset({token}))
     raise ParseError(f"unknown square-class generator {token!r} over {k}")

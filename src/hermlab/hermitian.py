@@ -100,21 +100,8 @@ def reduced_quadratic(h: HermFormDesc) -> QuadForm:
     return QuadForm(k, tuple(sqcl_mul(k, c, t) for c in h.entries for t in template))
 
 
-def jacobson_quadratic(h: HermFormDesc) -> QuadForm:
-    """Shape (a) reduction: entries tensored with the norm form."""
-    if h.shape != "a":
-        raise UnsupportedShapeError("the trace reduction needs a division "
-                                    "quaternion with its canonical involution "
-                                    "and sign +1")
-    return reduced_quadratic(h)
-
-
-def transfer_quadratic(h: HermFormDesc) -> QuadForm:
-    """Shape (b) reduction: entries tensored with <1, -lam>."""
-    if h.shape != "b":
-        raise UnsupportedShapeError("the transfer needs the trivial algebra "
-                                    "with a unitary involution")
-    return reduced_quadratic(h)
+# The trace reduction (shape a) and the transfer (shape b), named for the tracer.
+jacobson_quadratic = transfer_quadratic = reduced_quadratic
 
 
 def _tensor_isotropic(masks, template_masks, m1: int) -> bool:

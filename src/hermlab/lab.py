@@ -31,9 +31,11 @@ from .fields import (
     FiniteField,
     SquareClass,
     class_of_rational,
+    legendre,
     record,
     smallest_nonresidue,
     split_valuation,
+    valuation_unit,
 )
 from .quadform import QuadForm, qf_is_isotropic, qf_is_isotropic_oracle
 
@@ -49,10 +51,9 @@ class LabAlgebra:
 
     def __new__(cls, a: Fraction, b: Fraction, p: int):
         FiniteField(p)  # an odd prime within the size bound, so the split ends
-        if a == 0 or (split := split_valuation(a, p))[0] != 0:
+        if a == 0 or (split := valuation_unit(a, p))[0] != 0:
             raise ValueError(f"slot a = {a} of the symbol is not a {p}-adic unit")
         self = tuple.__new__(cls, (a, b, p))
-        _, num, den = split  # a = num/den, both prime to p
         # The slots with their denominators cleared once: a = A/da, b = B/db
         # and D = da*db, so D times a product or a norm is an integer form in
         # the numerators.
@@ -62,7 +63,7 @@ class LabAlgebra:
                                               b.numerator * da, a.numerator * b.numerator))
         # Read per decomposition and per memo lookup: the residue of a, and
         # the hash, so that no lookup goes through Fraction.__hash__.
-        object.__setattr__(self, "_a_residue", num * pow(den, -1, p) % p)
+        object.__setattr__(self, "_a_residue", split[1])
         object.__setattr__(self, "_hash", tuple.__hash__(self))
         return self
 
@@ -391,7 +392,7 @@ class ResidueForm:
         # square mod p: x is a square iff N(x) is, and N(-1) = 1
         (a, b), (c, d) = self.entries
         n = (a * a - self.u * b * b) * (c * c - self.u * d * d)
-        return pow(n, (self.p - 1) // 2, self.p) != self.p - 1
+        return legendre(n, self.p) > 0
 
 
 @record

@@ -24,13 +24,14 @@ from .fields import (
     SquareClass,
     class_to_str,
     is_finite_based,
+    legendre,
     minus_one,
     one,
     record,
     smallest_nonresidue,
-    split_valuation,
     sqcl_group,
     sqcl_mul,
+    valuation_unit,
 )
 
 
@@ -137,27 +138,13 @@ def _finite_base_case(k: FiniteField, masks: tuple, path: list) -> bool:
 # ---------------------------------------------------------------------------
 # independent decider over the height-one tower
 
-def legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ValueError("legendre symbol of a multiple of p")
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def _valuation_unit(x, p: int):
-    """x = p**v * unit for x a nonzero rational (int or Fraction); returns
-    (v, the unit mod p)."""
-    v, num, den = split_valuation(x, p)
-    return v, num * pow(den, p - 2, p) % p
-
-
 # Sixteen pairs of _lift_pair's four lifts per prime, for as many primes as
 # its memo holds; the discriminant pairs of 3- and 4-entry forms share it.
 @lru_cache(maxsize=16 * 64)
 def hilbert_symbol(a, b, p: int) -> int:
     """Hilbert symbol over the p-adic rationals, p odd.
 
-    Each argument is the (valuation, unit mod p) pair that _valuation_unit
+    Each argument is the (valuation, unit mod p) pair that valuation_unit
     returns; the symbol depends on nothing else (Serre, A Course in
     Arithmetic, III.1.2, Theorem 1), and is memoised per (pair, pair, p).
     """
@@ -181,7 +168,7 @@ def _lift_pair(p: int, data: int):
     """(valuation, unit mod p) of the integer lift of mask ``data`` over
     the height-one tower at p: u**(data & 1) * p**(data >> 1 & 1), with u
     the least positive nonresidue."""
-    return _valuation_unit(smallest_nonresidue(p) ** (data & 1) * p ** (data >> 1 & 1), p)
+    return valuation_unit(smallest_nonresidue(p) ** (data & 1) * p ** (data >> 1 & 1), p)
 
 
 def qf_is_isotropic_oracle(q: QuadForm) -> bool:

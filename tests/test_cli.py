@@ -481,6 +481,21 @@ def test_integer_options_take_ascii_digits_only(capsys, argv, flag, value):
         1, "", f"usage error: argument {flag}: invalid int value: {value!r}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "tensor", "--n", "2", "--uk", "\u0668"),  # an Arabic-Indic 8
+    ("bounds", "tensor", "--n", "2", "--uk", "1_0"),
+    ("bounds", "tensor", "--n", "2", "--uk", "0.5"),
+    ("bounds", "tensor", "--n", "1", "--uk", "1e10000000"),
+    ("lab", "larmour", "--p", "5", "--form", "1_000"),
+    ("lab", "pid", "--p", "5", "--t", "1e300000000j"),
+    ("lab", "pid", "--p", "5", "--symbol", "(2,5e1)"),
+])
+def test_rational_options_take_ascii_digits_only(capsys, argv):
+    # Fraction() alone reads all of these, the exponents after seconds or minutes
+    code, out, err = run_within(2, capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("usage error: cannot parse "), err
+
+
 def test_verify_json(capsys):
     code, payload, _ = run_json(capsys, "verify", "paper", "--only", "sequence")
     assert code == 0
@@ -656,7 +671,7 @@ FIELDS = st.one_of(
                      "CDV(CDV(GFF(27)))", "F4", "CDV(F1)", "nonsense"]))
 GOOD_CLASSES = st.sampled_from(["1", "u", "pi", "p", "t", "u*pi", "pi*t", "u*pi*t",
                                 "-1", "2", "v", "a"])
-CLASSES = GOOD_CLASSES | st.sampled_from(["0", "w", "s", "x y", ""])
+CLASSES = GOOD_CLASSES | st.sampled_from(["0", "w", "s", "x y", "", "7" * 5000])
 FORMS = (st.lists(GOOD_CLASSES, min_size=1, max_size=5)
          | st.lists(CLASSES, min_size=1, max_size=5)).map(",".join)
 BRAUER = st.sampled_from(["1", "(u,pi)", "(u,t)", "(pi,t)", "(u*pi,t)", "(u,pi);(pi,t)",
@@ -664,7 +679,8 @@ BRAUER = st.sampled_from(["1", "(u,pi)", "(u,t)", "(pi,t)", "(u*pi,t)", "(u,pi);
                           "(u,pi);(t,s);(u,t)", "(u,pi", "(u)", ""])
 SMALL = st.integers(min_value=-2, max_value=12).map(str)
 LAB_NUMBERS = st.sampled_from(["1", "2", "3", "5", "7", "2/3", "5/7", "1/0", "0", "-1",
-                               "13/5", "x"])
+                               "13/5", "x", "1e3", "1_0", "\u0663", "0.5", "1e300000000",
+                               "7" * 5000])
 ELEMENTS = st.one_of(
     LAB_NUMBERS,
     st.builds("{}{}".format, st.sampled_from(["", "-", "2", "1/0", "3/5"]),

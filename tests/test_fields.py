@@ -153,6 +153,16 @@ def test_class_grammar_takes_ascii_digits_only():
     assert parse_class(K1, "-3") == parse_class(K1, "u") and parse_class(K1, "4").is_one
 
 
+def test_class_grammar_refuses_with_parse_errors():
+    # zero, a multiple of p over F_p, and more digits than int() converts
+    for k, text in ((K1, "0"), (F5, "5"), (F5, "-10"), (K1, "7" * 5000)):
+        with pytest.raises(ParseError) as info:
+            parse_class(k, text)
+        assert "set_int_max_str_digits" not in str(info.value)
+    with pytest.raises(ParseError):
+        parse_brauer(K1, "(0,pi)")
+
+
 def test_symbolic_classes_multiply_by_cancellation():
     g = GlobalFunctionField(9)
     uv = parse_class(g, "u*v")

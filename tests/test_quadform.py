@@ -22,12 +22,12 @@ from hermlab.fields import (
     smallest_nonresidue,
     split_valuation,
     sqcl_group,
+    valuation_unit,
 )
 from hermlab.hermitian import HermFormDesc, canonical_involution, herm_is_isotropic
 from hermlab.quadform import (
     QuadForm,
     _is_square,
-    _valuation_unit,
     albert_form,
     hilbert_symbol,
     legendre,
@@ -128,7 +128,7 @@ def _oracle_by_fraction_lifts(q):
         raise UnsupportedFieldError("the invariant decider runs over the "
                                     "height-one tower only")
     p = k.residue.p
-    pairs = [_valuation_unit(_rational_lift(a), p) for a in q.entries]
+    pairs = [valuation_unit(_rational_lift(a), p) for a in q.entries]
     n = len(pairs)
     if n <= 1:
         return False
@@ -270,7 +270,7 @@ def test_square_test_rejects_zero():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_hilbert_symbol_relations(p):
     def h(a, b):
-        return hilbert_symbol(_valuation_unit(a, p), _valuation_unit(b, p), p)
+        return hilbert_symbol(valuation_unit(a, p), valuation_unit(b, p), p)
 
     rng = random.Random(1000 + p)
     sample = []
