@@ -250,6 +250,15 @@ _QP_RE = re.compile(r"^Qp\[p=([0-9]+)\]$")
 _QPT_RE = re.compile(r"^Qp\(\(t\)\)\[p=([0-9]+)\]$")
 
 
+def _field_int(digits: str) -> int:
+    """A size, prime or exponent of the field grammar, from ASCII digits."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"an integer of {len(digits)} digits in a field descriptor "
+                         "is too long") from None
+
+
 def parse_field(text: str) -> FieldDesc:
     """Parse the field grammar: F5, F5^2, GFF(9), CDV(...), Qp[p=5], Qp((t))[p=5]."""
     s = text.strip().replace(" ", "")
@@ -258,16 +267,16 @@ def parse_field(text: str) -> FieldDesc:
     try:
         m = _QP_RE.match(s)
         if m:
-            return CDVField(FiniteField(int(m.group(1))))
+            return CDVField(FiniteField(_field_int(m.group(1))))
         m = _QPT_RE.match(s)
         if m:
-            return CDVField(CDVField(FiniteField(int(m.group(1)))))
+            return CDVField(CDVField(FiniteField(_field_int(m.group(1)))))
         m = _FINITE_RE.match(s)
         if m:
-            return FiniteField(int(m.group(1)), int(m.group(2) or 1))
+            return FiniteField(_field_int(m.group(1)), _field_int(m.group(2) or "1"))
         m = _GFF_RE.match(s)
         if m:
-            return GlobalFunctionField(int(m.group(1)))
+            return GlobalFunctionField(_field_int(m.group(1)))
     except ValueError as exc:  # a size the field constructors refuse
         raise ParseError(str(exc)) from exc
     m = _CDV_RE.match(s)

@@ -127,7 +127,7 @@ def herm_is_isotropic(h: HermFormDesc) -> bool:
 def u_search(B: BrauerClass, lam: SquareClass, eps: int) -> int:
     """Largest rank of an anisotropic form of a supported shape, found by
     the subform-closed search of `max_anisotropic_rank` over entry tuples
-    of square-class masks of B's field k.
+    of square-class masks of B's field k, with the template's masks.
 
     Entries range over k*/k*^2, which is coarser than isometry but exact
     for suprema; permutation invariance lets the enumeration run over
@@ -136,10 +136,8 @@ def u_search(B: BrauerClass, lam: SquareClass, eps: int) -> int:
     """
     k = B.field
     classes = search_classes(k)
-    template = [t.data for t in HermFormDesc(B, lam, eps, ()).template or _no_decider()]
-    m1 = _minus_one_bit(k)
-    return max_anisotropic_rank(classes,
-                                lambda masks: not _tensor_isotropic(masks, template, m1))
+    template = HermFormDesc(B, lam, eps, ()).template or _no_decider()
+    return max_anisotropic_rank(classes, tuple(t.data for t in template), _minus_one_bit(k))
 
 
 # Nothing in src/ calls these two: bench/workloads.py builds its hermitian items with them.

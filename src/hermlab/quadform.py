@@ -229,8 +229,12 @@ def oracle_disagreements(k: FieldDesc) -> int:
 # u-invariant by exhaustive search
 
 # The exhaustive searches range over all 2**(h+1) classes of a height-h
-# tower: height 3 (16 classes) takes seconds at most, height 4 does not end
-# within minutes.  Towers with more classes are refused before any search.
+# tower.  At height 3 (16 classes) u_quadratic keeps 5**8 - 1 = 390,624
+# anisotropic tuples when p = 3 mod 4 and 4**8 - 1 = 65,535 when p = 1
+# mod 4, in about 0.2 s at p = 3 and 0.03 s at p = 5 (CPython 3.11, one
+# core of a shared 2-vCPU container).  Height 4 would keep at least
+# 4**16 - 1 tuples, so towers with more classes are refused before any
+# search.
 MAX_SEARCH_CLASSES = 16
 
 
@@ -245,30 +249,72 @@ def search_classes(k: FieldDesc) -> range:
     return range(2 << h)
 
 
-def max_anisotropic_rank(classes, is_anisotropic) -> int:
-    """Largest d such that some d-tuple of classes is anisotropic.
+def _anisotropic_layers(classes, template, m1: int):
+    """Yield, for d = 0, 1, ..., the sorted d-tuples of class masks whose
+    tensor with the template masks is anisotropic, until one is empty.
+
+    Each kept tuple is (parent, last, state): its parent's place in the
+    previous layer, from which the tuple reads back, the place of its last
+    class, and the leaf state of its tensor, two bits per leaf at bit
+    2*leaf: 0 empty, 1 one entry with bit 0 clear, 2 one entry with bit 0
+    set, 3 full.  Masks in one leaf differ
+    only in bit 0, so by the leaf test an anisotropic leaf holds at most
+    two entries, and two only when their masks XOR to 1 ^ m1.  An
+    extension by c touches only the leaves of c ^ t for t in the template,
+    one mask at a time, and is refused as soon as a mask lands in a full
+    leaf or next to a lone entry whose mask XORs with it to m1.
+    """
+    moves = []
+    for c in classes:
+        row = []
+        for t in template:
+            leaf, bit = divmod(c ^ t, 2)
+            shift = 2 * leaf
+            full = 3 << shift
+            # The bits the mask ORs into the state, by its leaf's two bits;
+            # None where it makes the leaf isotropic.
+            row.append((shift, ((1 + bit) << shift, None if bit == m1 else full,
+                                None if 1 ^ bit == m1 else full, None)))
+        moves.append(row)
+    n = len(classes)
+    layer = [(0, 0, 0)]
+    while layer:
+        yield layer
+        extended = []
+        for parent, (_, start, state) in enumerate(layer):
+            for last in range(start, n):
+                s = state
+                for shift, table in moves[last]:
+                    bits = table[s >> shift & 3]
+                    if bits is None:
+                        break
+                    s |= bits
+                else:
+                    extended.append((parent, last, s))
+        layer = extended
+
+
+def max_anisotropic_rank(classes, template, m1: int) -> int:
+    """Largest d such that some sorted d-tuple of classes, tensored with the
+    template masks, is anisotropic by the leaf test, m1 the mask of -1.
 
     A subform of an anisotropic form is anisotropic (Springer 1955; Larmour,
-    Math. Z. 2006, for the hermitian shapes), so the anisotropic entry
-    tuples of dimension d+1, sorted in class order, are the anisotropic
-    extensions of those of dimension d by a class at or after their last
-    entry.  The search keeps each layer and returns d at the first empty
-    one; a hard cap of twice the class count guards against a predicate
-    that never turns isotropic.
+    Math. Z. 2006, for the hermitian shapes), so the anisotropic tuples of
+    dimension d+1, sorted in class order, are the anisotropic extensions
+    of those of dimension d by a class at or after their last entry.
+    `_anisotropic_layers` keeps each layer with the leaf state of every
+    kept tensor, so an extension costs O(template), not O(d * template).
+    An anisotropic tensor holds at most two entries per leaf, so with a
+    nonempty template no kept tuple is longer than twice the leaf count,
+    which is the class count; only the empty template, whose tensor is
+    the empty form and never turns isotropic, reaches the cap of twice the
+    class count.
     """
     cap = 2 * len(classes)
-    layer = [((), 0)]
-    rank = 0
-    while True:
-        layer = [(entries + (c,), i)
-                 for entries, start in layer
-                 for i, c in enumerate(classes[start:], start)
-                 if is_anisotropic(entries + (c,))]
-        if not layer:
-            return rank
-        rank += 1
+    for rank, _ in enumerate(_anisotropic_layers(classes, template, m1)):
         if rank > cap:
             raise EngineError(f"anisotropic forms persist past the cap {cap}")
+    return rank
 
 
 def u_quadratic(k: FieldDesc) -> int:
@@ -276,11 +322,10 @@ def u_quadratic(k: FieldDesc) -> int:
 
     Entries range over the square-class masks of k; reordering entries
     never changes isotropy, and the subform-closed search of
-    `max_anisotropic_rank` extends only the anisotropic forms of each
-    dimension, each decided by the leaf test.
+    `max_anisotropic_rank` with the template <1> extends only the
+    anisotropic forms of each dimension.
     """
-    m1 = minus_one(k).data
-    return max_anisotropic_rank(search_classes(k), lambda masks: not _masks_isotropic(masks, m1))
+    return max_anisotropic_rank(search_classes(k), (0,), minus_one(k).data)
 
 
 def norm_form(a: SquareClass, b: SquareClass) -> QuadForm:

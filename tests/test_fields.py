@@ -163,6 +163,16 @@ def test_class_grammar_refuses_with_parse_errors():
         parse_brauer(K1, "(0,pi)")
 
 
+@pytest.mark.parametrize("text", ["F" + "7" * 5000, "F5^" + "2" * 5000, "GFF(" + "9" * 5000 + ")",
+                                  "Qp[p=" + "5" * 5000 + "]", "CDV(Qp((t))[p=" + "5" * 5000 + "])"],
+                         ids=["finite", "exponent", "gff", "qp", "qpt"])
+def test_field_grammar_refuses_long_integers_in_its_own_words(text):
+    # more digits than int() converts
+    with pytest.raises(ParseError) as info:
+        parse_field(text)
+    assert str(info.value) == "an integer of 5000 digits in a field descriptor is too long"
+
+
 def test_symbolic_classes_multiply_by_cancellation():
     g = GlobalFunctionField(9)
     uv = parse_class(g, "u*v")

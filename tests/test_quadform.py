@@ -218,13 +218,27 @@ def test_u_values_and_doubling():
             k = k_up
 
 
+def _kept_layers(k, template):
+    """The layers of the search over k's class masks with the template's
+    masks, each as the list of its kept mask tuples, read back through
+    every kept tuple's parent."""
+    classes = quadform.search_classes(k)
+    layers = quadform._anisotropic_layers(classes, template, minus_one(k).data)
+    assert next(layers) == [(0, 0, 0)]  # the empty tuple
+    kept = [[()]]
+    for layer in layers:
+        kept.append([kept[-1][parent] + (classes[last],) for parent, last, _ in layer])
+    return kept
+
+
 def _quadratic_anisotropic(k):
-    return lambda entries: not qf_is_isotropic(QuadForm(k, entries))
+    return (0,), lambda entries: not qf_is_isotropic(QuadForm(k, entries))
 
 
 def _shape_a_anisotropic(k):
     B = parse_brauer(k, "(u,pi)")
-    return lambda entries: not herm_is_isotropic(
+    template = tuple(t.data for t in HermFormDesc(B, canonical_involution(), 1, ()).template)
+    return template, lambda entries: not herm_is_isotropic(
         HermFormDesc(B, canonical_involution(), 1, entries))
 
 
@@ -232,25 +246,33 @@ def _shape_a_anisotropic(k):
 @pytest.mark.parametrize("predicate", [_quadratic_anisotropic, _shape_a_anisotropic],
                          ids=["quadratic", "shape_a"])
 def test_subform_closed_layers_match_brute_force(k, predicate):
-    is_anisotropic = predicate(k)
-    kept = []
-
-    def recording(entries):
-        verdict = is_anisotropic(entries)
-        if verdict:
-            kept.append(entries)
-        return verdict
-
+    template, is_anisotropic = predicate(k)
+    layers = _kept_layers(k, template)
     classes = sqcl_group(k)
-    rank = max_anisotropic_rank(classes, recording)
+    rank = max_anisotropic_rank(quadform.search_classes(k), template, minus_one(k).data)
+    assert rank == len(layers) - 1
     for d in range(1, rank + 2):
-        brute = [e for e in combinations_with_replacement(classes, d) if is_anisotropic(e)]
-        assert Counter(e for e in kept if len(e) == d) == Counter(brute)
+        brute = [tuple(a.data for a in e) for e in combinations_with_replacement(classes, d)
+                 if is_anisotropic(e)]
+        kept = layers[d] if d < len(layers) else []
+        assert Counter(kept) == Counter(brute)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("h", [0, 1, 2])
+def test_kept_tuples_count_the_anisotropic_forms_of_every_leaf(p, h):
+    """Each of the 2**h leaves holds one of the anisotropic forms over F_p of
+    rank at most 2: 4 of them with the empty one when -1 is a square, 5
+    when it is not.  A sorted tuple is its multiset, so the search keeps
+    one tuple per choice of leaf forms, the empty tuple aside."""
+    k = parse_field("CDV(" * h + f"F{p}" + ")" * h)
+    forms = 4 if p % 4 == 1 else 5
+    assert sum(map(len, _kept_layers(k, (0,))[1:])) == forms ** (2 ** h) - 1
 
 
 def test_search_cap_stops_a_predicate_that_never_turns_isotropic():
     with pytest.raises(EngineError, match="cap 4"):
-        max_anisotropic_rank(["a", "b"], lambda entries: True)
+        max_anisotropic_rank(range(2), (), 1)
 
 
 def test_square_test_rejects_zero():

@@ -649,10 +649,12 @@ def test_every_division_symbol_over_height_two(p):
 
 # height-3 exhaustive checks --------------------------------------------------
 
-K3 = parse_field("CDV(CDV(CDV(F5)))")
+HEIGHT_THREE = pytest.mark.parametrize("K3", [parse_field(f"CDV(CDV(CDV(F{p})))") for p in (3, 5)],
+                                       ids=str)
 
 
-def test_quadratic_u_at_height_three():
+@HEIGHT_THREE
+def test_quadratic_u_at_height_three(K3):
     assert u_quadratic(K3) == 16
 
 
@@ -671,14 +673,16 @@ def _quaternion_index_classes(k):
     return kept
 
 
-def test_shape_a_search_matches_recursion_at_height_three():
+@HEIGHT_THREE
+def test_shape_a_search_matches_recursion_at_height_three(K3):
     classes = _quaternion_index_classes(K3)
     assert len(classes) == 35
     for B in classes:
         assert u_search(B, canonical_involution(), 1) == u_exact(B, "minus").value, str(B)
 
 
-def test_shape_b_search_matches_recursion_at_height_three():
+@HEIGHT_THREE
+def test_shape_b_search_matches_recursion_at_height_three(K3):
     lams = sqcl_group(K3)[1:]
     assert len(lams) == 15
     for lam in lams:
