@@ -257,12 +257,12 @@ def _anisotropic_layers(classes, template, m1: int):
     previous layer, from which the tuple reads back, the place of its last
     class, and the leaf state of its tensor, two bits per leaf at bit
     2*leaf: 0 empty, 1 one entry with bit 0 clear, 2 one entry with bit 0
-    set, 3 full.  Masks in one leaf differ
-    only in bit 0, so by the leaf test an anisotropic leaf holds at most
-    two entries, and two only when their masks XOR to 1 ^ m1.  An
-    extension by c touches only the leaves of c ^ t for t in the template,
-    one mask at a time, and is refused as soon as a mask lands in a full
-    leaf or next to a lone entry whose mask XORs with it to m1.
+    set, 3 full.  Masks in one leaf differ only in bit 0, so by the leaf
+    test an anisotropic leaf holds at most two entries, and two only when
+    their masks XOR to 1 ^ m1.  An extension by c touches only the leaves
+    of c ^ t for t in the template, one mask at a time, and is refused as
+    soon as a mask lands in a full leaf or next to a lone entry whose mask
+    XORs with it to m1.
     """
     moves = []
     for c in classes:
